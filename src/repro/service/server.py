@@ -23,60 +23,65 @@ compute, chunk-solve and fsync spans included — is retrievable from
 ``GET /v1/traces`` the moment the response is sent.  ``GET /metrics``
 exposes the process-wide metrics registry in Prometheus text format.
 
-Endpoints (all responses are JSON unless noted)::
+Endpoints: every row of :attr:`ExplainerRequestHandler.routes` (all
+responses are JSON unless noted; ``/v1`` is optional).  ``[<tenant>/]``
+marks a session route: with it the path addresses that registry tenant,
+without it the server's default session (on a registry-only server, the
+bare health and stats paths describe the fleet)::
 
-    GET  /metrics              Prometheus text exposition (0.0.4)
-    GET  /v1/traces            finished traces, newest first
-                               ?min_ms=F&limit=N&slow=1&id=<trace_id>
-    GET  /healthz              process liveness; 200 even while draining
-    GET  /readyz               per-subsystem readiness (store writable,
-                               queue headroom, drain state); 503 when not
-    GET  /v1/health            liveness + session identity
-    GET  /v1/stats             cache / engine / scheduler statistics
-                               + metrics registry snapshot + tracer stats
-    POST /v1/explain/global    {"attributes"?, "max_pairs_per_attribute"?}
-    POST /v1/explain/context   {"context": {attr: value}, ...}
-    POST /v1/explain/local     {"index"? | "individual"?, "attributes"?}
-    POST /v1/explain/local_batch {"indices": [i, ...], "attributes"?}
-    POST /v1/recourse          {"index", "actionable"?, "alpha"?, "mode"?}
-    POST /v1/recourse/batch    {"indices"?, "actionable"?, "alpha"?, "mode"?, "workers"?}
-    POST /v1/audit             {"protected"?, "tolerance"?}
-    POST /v1/scores            {"contrasts": [[values, baselines], ...], "context"?}
-    POST /v1/update            {"insert": [row, ...], "delete": [index, ...]}
+    GET    /metrics                         Prometheus text exposition (0.0.4)
+    GET    /v1/traces                       finished traces, newest first
+                                            ?min_ms=F&limit=N&slow=1&id=<trace_id>
+    GET    /healthz                         process liveness; 200 even while draining
+    GET    /readyz                          per-subsystem readiness (store writable,
+                                            queue headroom, drain state); 503 when not
+    GET    /v1/[<tenant>/]health            liveness + session identity (?digest=1 adds
+                                            the engine state digest)
+    GET    /v1/[<tenant>/]stats             cache / engine / scheduler statistics
+                                            + metrics registry snapshot + tracer stats
+    POST   /v1/[<tenant>/]explain/global    {"attributes"?, "max_pairs_per_attribute"?}
+    POST   /v1/[<tenant>/]explain/context   {"context": {attr: value}, ...}
+    POST   /v1/[<tenant>/]explain/local     {"index"? | "individual"?, "attributes"?}
+    POST   /v1/[<tenant>/]explain/local_batch  {"indices": [i, ...], "attributes"?}
+    POST   /v1/[<tenant>/]recourse          {"index", "actionable"?, "alpha"?, "mode"?}
+    POST   /v1/[<tenant>/]recourse/batch    {"indices"?, "actionable"?, "alpha"?, "mode"?, "workers"?}
+    POST   /v1/[<tenant>/]audit             {"protected"?, "tolerance"?}
+    POST   /v1/[<tenant>/]scores            {"contrasts": [[values, baselines], ...], "context"?}
+    POST   /v1/[<tenant>/]update            {"insert": [row, ...], "delete": [index, ...]}
 
-    POST   /v1/monitors        register a standing monitor
-                               {"kind": "score"|"fairness"|"monotonicity"|"recourse",
-                                "params": {...}, "metric"?, "threshold"?, "cusum"?}
-    GET    /v1/monitors        list monitors (baselines, summaries, cursors)
-    GET    /v1/monitors/<id>   one monitor's full state
-    DELETE /v1/monitors/<id>   deregister a monitor
-    GET    /v1/watch?cursor=N&timeout=S   long-poll for drift alerts newer
-                               than alert-seq N (timeout seconds, max 60)
+    POST   /v1/[<tenant>/]monitors          register a standing monitor
+                                            {"kind": "score"|"fairness"|"monotonicity"|"recourse",
+                                             "params": {...}, "metric"?, "threshold"?, "cusum"?}
+    GET    /v1/[<tenant>/]monitors          list monitors (baselines, summaries, cursors)
+    GET    /v1/[<tenant>/]monitors/<id>     one monitor's full state
+    DELETE /v1/[<tenant>/]monitors/<id>     deregister a monitor
+    GET    /v1/[<tenant>/]watch             long-poll for drift alerts newer than
+                                            alert-seq N: ?cursor=N&timeout=S (max 60)
 
-    GET    /v1/<tenant>/...            any endpoint above, tenant-scoped
-    GET    /v1/registry                tenant listing + load state
-    GET    /v1/registry/<tenant>       snapshots, manifest summary, stats
+    GET    /v1/registry                     tenant listing + load state
+    GET    /v1/registry/<tenant>            snapshots, manifest summary, stats
     POST   /v1/registry/<tenant>/snapshot   checkpoint now (snapshot + WAL compaction)
     POST   /v1/registry/<tenant>/evict      unload from memory (state stays on disk)
-    DELETE /v1/registry/<tenant>       remove tenant (snapshots + log)
+    DELETE /v1/registry/<tenant>            remove tenant (snapshots + log)
 
-    GET    /v1/<tenant>/log?cursor=N&max=K  WAL shipping batch after seq N
-                               (epoch-stamped; cursor_valid=false means
-                               "resync from snapshot")
+    GET    /v1/[<tenant>/]log               WAL shipping batch after seq N: ?cursor=N&max=K
+                                            (epoch-stamped; cursor_valid=false means
+                                            "resync from snapshot")
     GET    /v1/registry/<tenant>/manifest   latest manifest, verbatim
     GET    /v1/registry/<tenant>/object/<digest>  blob bytes (octet-stream)
-    GET    /v1/replication     role, epoch, per-tenant lag, tailer state
-    POST   /v1/replication/promote   {"catchup_store"?, "reason"?} become leader
-    POST   /v1/replication/retarget  {"leader_url"} follow a new leader
+    GET    /v1/replication                  role, epoch, per-tenant lag, tailer state
+    POST   /v1/replication/promote          {"catchup_store"?, "reason"?} become leader
+    POST   /v1/replication/retarget         {"leader_url"} follow a new leader
 
-Followers (``serve --follow URL``) answer every read; writes return 503
-with the leader's URL.  Reads pinned with ``X-Repro-Min-State: <token>``
-are refused with 503 until the replica has applied the state the client
-last saw (read-your-writes across the fleet).
+Followers (``serve --follow URL``) answer every read; ``write`` routes
+return 503 with the leader's URL.  Reads pinned with ``X-Repro-Min-State:
+<token>`` are refused with 503 until the replica has applied the state
+the client last saw (read-your-writes across the fleet).
 
 Client errors (unknown attribute/label, malformed body) return 400 with
 ``{"error": ...}``; unknown tenants/endpoints 404; unsupported
-conditioning events 422; infeasible recourse 409.  Start a server with
+conditioning events 422; infeasible recourse 409; the rest of the
+mapping is :func:`error_response`.  Start a server with
 ``python -m repro.cli serve`` or programmatically via
 :func:`create_server`; :func:`serve` installs SIGTERM/SIGINT handlers
 that stop accepting, drain in-flight requests, and close the store.
@@ -89,8 +94,9 @@ import os
 import signal
 import threading
 import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 from urllib.parse import parse_qs, urlsplit
 
 from repro.obs import metrics as _obs
@@ -107,11 +113,11 @@ from repro.service.session import (
     ScoresRequest,
 )
 from repro.service.updates import TableDelta
+from repro.store.artifacts import RESERVED_TENANT_NAMES as RESERVED_SEGMENTS
 from repro.utils import deadline as _deadline
 from repro.utils.exceptions import (
     DeadlineExceededError,
     DegradedError,
-    DomainError,
     EstimationError,
     OverloadedError,
     RecourseInfeasibleError,
@@ -157,30 +163,6 @@ def _http_histogram(method: str):
         _HTTP_HISTOGRAMS[method] = histogram
     return histogram
 
-#: first path segments that can never be tenant names; tenant creation
-#: rejects them (``repro.store.artifacts.RESERVED_TENANT_NAMES`` — keep
-#: the two literals in sync; importing across the packages would cycle)
-RESERVED_SEGMENTS = {
-    "health",
-    "healthz",
-    "readyz",
-    "stats",
-    "explain",
-    "recourse",
-    "audit",
-    "scores",
-    "update",
-    "registry",
-    "monitors",
-    "watch",
-    "metrics",
-    "traces",
-    "obs",
-    "log",
-    "replication",
-    "v1",
-}
-
 
 class BadRequest(ValueError):
     """Malformed request body (HTTP 400)."""
@@ -188,6 +170,48 @@ class BadRequest(ValueError):
 
 class NotFound(LookupError):
     """Unknown endpoint or tenant (HTTP 404)."""
+
+
+#: (exception types, status, message prefix) — first match wins, so a
+#: subclass must come before its base (DegradedError is a StoreError).
+_ERROR_STATUSES: tuple[tuple[Any, int, str], ...] = (
+    (NotFound, 404, ""),
+    # ValueError is the library's client-error convention (malformed
+    # deltas, bad selectors, missing actionables); BadRequest and
+    # DomainError are ValueErrors too.
+    (ValueError, 400, ""),
+    (KeyError, 400, "unknown attribute: "),
+    (IndexError, 400, "row index out of range: "),
+    (RecourseInfeasibleError, 409, "recourse infeasible: "),
+    (EstimationError, 422, "unsupported conditioning event: "),
+    (DeadlineExceededError, 504, "deadline exceeded: "),
+    (OverloadedError, 429, "overloaded: "),
+    # The store is read-only degraded (failed write/fsync); the data is
+    # safe but this replica cannot accept the request.
+    (DegradedError, 503, "store degraded: "),
+    # transient persistence-layer contention (e.g. racing an eviction):
+    # the request is valid, a retry will succeed
+    (StoreError, 503, "store busy: "),
+)
+
+
+def error_response(exc: Exception) -> tuple[int, str, dict[str, str] | None]:
+    """Map any exception a route raised to (status, message, headers).
+
+    The server's one exception → status mapping, for every route and
+    method; anything unmapped is an internal defect (500).
+    """
+    for types, status, prefix in _ERROR_STATUSES:
+        if isinstance(exc, types):
+            break
+    else:
+        return 500, f"internal error: {type(exc).__name__}: {exc}", None
+    headers = None
+    if isinstance(exc, OverloadedError):
+        headers = {"Retry-After": str(max(1, int(round(exc.retry_after_s))))}
+    elif isinstance(exc, DegradedError):
+        headers = {"Retry-After": "1"}
+    return status, prefix + str(exc), headers
 
 
 def _opt_tuple(payload: Mapping[str, Any], key: str) -> tuple | None:
@@ -223,99 +247,167 @@ def _as_mode(value: Any) -> str:
     return str(value)
 
 
-def _build_request(path: str, payload: Mapping[str, Any]):
-    """Translate (endpoint, JSON body) into a session request object."""
-    if not isinstance(payload, Mapping):
-        raise BadRequest("request body must be a JSON object")
-    if path == "/v1/explain/global":
-        return GlobalExplainRequest(
-            attributes=_opt_tuple(payload, "attributes"),
-            max_pairs_per_attribute=_as_int(
-                payload.get("max_pairs_per_attribute", 8), "max_pairs_per_attribute"
-            ),
-        )
-    if path == "/v1/explain/context":
-        context = payload.get("context")
-        if not isinstance(context, Mapping) or not context:
-            raise BadRequest('"context" must be a non-empty object')
-        return ContextExplainRequest(
-            context=dict(context),
-            attributes=_opt_tuple(payload, "attributes"),
-            max_pairs_per_attribute=_as_int(
-                payload.get("max_pairs_per_attribute", 8), "max_pairs_per_attribute"
-            ),
-        )
-    if path == "/v1/explain/local":
-        index = payload.get("index")
-        individual = payload.get("individual")
-        if (index is None) == (individual is None):
-            raise BadRequest('pass exactly one of "index" / "individual"')
-        if individual is not None and not isinstance(individual, Mapping):
-            raise BadRequest('"individual" must be an object')
-        return LocalExplainRequest(
-            index=None if index is None else _as_int(index, "index"),
-            individual=dict(individual) if individual is not None else None,
-            attributes=_opt_tuple(payload, "attributes"),
-        )
-    if path == "/v1/explain/local_batch":
-        if "indices" not in payload:
-            raise BadRequest('"indices" is required')
-        return LocalExplainBatchRequest(
-            indices=_as_index_tuple(payload["indices"], "indices"),
-            attributes=_opt_tuple(payload, "attributes"),
-        )
-    if path == "/v1/recourse":
-        if "index" not in payload:
-            raise BadRequest('"index" is required')
-        return RecourseRequest(
-            index=_as_int(payload["index"], "index"),
-            actionable=_opt_tuple(payload, "actionable"),
-            alpha=_as_number(payload.get("alpha", 0.8), "alpha"),
-            mode=_as_mode(payload.get("mode", "exact")),
-        )
-    if path == "/v1/recourse/batch":
-        indices = payload.get("indices")
-        workers = payload.get("workers")
-        if workers is not None:
-            workers = _as_int(workers, "workers")
-            if workers < 0:
-                raise BadRequest('"workers" must be >= 0')
-        return RecourseBatchRequest(
-            indices=(
-                _as_index_tuple(indices, "indices")
-                if indices is not None
-                else None
-            ),
-            actionable=_opt_tuple(payload, "actionable"),
-            alpha=_as_number(payload.get("alpha", 0.8), "alpha"),
-            mode=_as_mode(payload.get("mode", "exact")),
-            workers=workers,
-        )
-    if path == "/v1/audit":
-        return AuditRequest(
-            protected=_opt_tuple(payload, "protected"),
-            tolerance=_as_number(payload.get("tolerance", 0.05), "tolerance"),
-        )
-    if path == "/v1/scores":
-        contrasts = payload.get("contrasts")
-        if not isinstance(contrasts, list) or not contrasts:
-            raise BadRequest('"contrasts" must be a non-empty list')
-        parsed = []
-        for entry in contrasts:
-            if (
-                not isinstance(entry, (list, tuple))
-                or len(entry) != 2
-                or not all(isinstance(side, Mapping) for side in entry)
-            ):
-                raise BadRequest(
-                    "each contrast must be a [values, baselines] pair of objects"
-                )
-            parsed.append((dict(entry[0]), dict(entry[1])))
-        context = payload.get("context", {})
-        if not isinstance(context, Mapping):
-            raise BadRequest('"context" must be an object')
-        return ScoresRequest(contrasts=tuple(parsed), context=dict(context))
-    raise NotFound(path)
+# -- per-route request builders: JSON body -> session request object -------
+
+
+def _global_request(payload: Mapping[str, Any]) -> GlobalExplainRequest:
+    return GlobalExplainRequest(
+        attributes=_opt_tuple(payload, "attributes"),
+        max_pairs_per_attribute=_as_int(
+            payload.get("max_pairs_per_attribute", 8), "max_pairs_per_attribute"
+        ),
+    )
+
+
+def _context_request(payload: Mapping[str, Any]) -> ContextExplainRequest:
+    context = payload.get("context")
+    if not isinstance(context, Mapping) or not context:
+        raise BadRequest('"context" must be a non-empty object')
+    return ContextExplainRequest(
+        context=dict(context),
+        attributes=_opt_tuple(payload, "attributes"),
+        max_pairs_per_attribute=_as_int(
+            payload.get("max_pairs_per_attribute", 8), "max_pairs_per_attribute"
+        ),
+    )
+
+
+def _local_request(payload: Mapping[str, Any]) -> LocalExplainRequest:
+    index = payload.get("index")
+    individual = payload.get("individual")
+    if (index is None) == (individual is None):
+        raise BadRequest('pass exactly one of "index" / "individual"')
+    if individual is not None and not isinstance(individual, Mapping):
+        raise BadRequest('"individual" must be an object')
+    return LocalExplainRequest(
+        index=None if index is None else _as_int(index, "index"),
+        individual=dict(individual) if individual is not None else None,
+        attributes=_opt_tuple(payload, "attributes"),
+    )
+
+
+def _local_batch_request(payload: Mapping[str, Any]) -> LocalExplainBatchRequest:
+    if "indices" not in payload:
+        raise BadRequest('"indices" is required')
+    return LocalExplainBatchRequest(
+        indices=_as_index_tuple(payload["indices"], "indices"),
+        attributes=_opt_tuple(payload, "attributes"),
+    )
+
+
+def _recourse_request(payload: Mapping[str, Any]) -> RecourseRequest:
+    if "index" not in payload:
+        raise BadRequest('"index" is required')
+    return RecourseRequest(
+        index=_as_int(payload["index"], "index"),
+        actionable=_opt_tuple(payload, "actionable"),
+        alpha=_as_number(payload.get("alpha", 0.8), "alpha"),
+        mode=_as_mode(payload.get("mode", "exact")),
+    )
+
+
+def _recourse_batch_request(payload: Mapping[str, Any]) -> RecourseBatchRequest:
+    indices = payload.get("indices")
+    workers = payload.get("workers")
+    if workers is not None:
+        workers = _as_int(workers, "workers")
+        if workers < 0:
+            raise BadRequest('"workers" must be >= 0')
+    return RecourseBatchRequest(
+        indices=(
+            _as_index_tuple(indices, "indices")
+            if indices is not None
+            else None
+        ),
+        actionable=_opt_tuple(payload, "actionable"),
+        alpha=_as_number(payload.get("alpha", 0.8), "alpha"),
+        mode=_as_mode(payload.get("mode", "exact")),
+        workers=workers,
+    )
+
+
+def _audit_request(payload: Mapping[str, Any]) -> AuditRequest:
+    return AuditRequest(
+        protected=_opt_tuple(payload, "protected"),
+        tolerance=_as_number(payload.get("tolerance", 0.05), "tolerance"),
+    )
+
+
+def _scores_request(payload: Mapping[str, Any]) -> ScoresRequest:
+    contrasts = payload.get("contrasts")
+    if not isinstance(contrasts, list) or not contrasts:
+        raise BadRequest('"contrasts" must be a non-empty list')
+    parsed = []
+    for entry in contrasts:
+        if (
+            not isinstance(entry, (list, tuple))
+            or len(entry) != 2
+            or not all(isinstance(side, Mapping) for side in entry)
+        ):
+            raise BadRequest(
+                "each contrast must be a [values, baselines] pair of objects"
+            )
+        parsed.append((dict(entry[0]), dict(entry[1])))
+    context = payload.get("context", {})
+    if not isinstance(context, Mapping):
+        raise BadRequest('"context" must be an object')
+    return ScoresRequest(contrasts=tuple(parsed), context=dict(context))
+
+
+@contextmanager
+def _store_errors_as_404():
+    """Report a StoreError as 404: it means an unknown or invalid tenant."""
+    try:
+        yield
+    except StoreError as exc:
+        raise NotFound(str(exc)) from exc
+
+
+def _answers(build: Callable[[Mapping[str, Any]], Any]):
+    """Traced route handler answering the session request ``build`` makes."""
+    return lambda self, session, payload: session.handle(build(payload))
+
+
+#: template marker of a session route; see the module docstring
+_TENANT = "[<tenant>/]"
+
+
+class Route:
+    """One row of the route table: ``(method, template, handler, flags)``.
+
+    The template's ``<name>`` segments bind the handler's positional
+    arguments; a session route (``[<tenant>/]``) binds the tenant first,
+    ``None`` for the default session.  POST and DELETE handlers also get
+    the parsed body.  Flags: ``write`` routes are refused on a follower
+    (503 + ``leader_url``); ``traced`` routes are session POSTs that
+    :meth:`ExplainerRequestHandler._traced` runs, with handler arguments
+    ``(session, payload)``.
+    """
+
+    def __init__(self, method: str, template: str, handler, *flags: str):
+        self.method = method
+        self.template = template
+        self.handler = handler
+        self.flags = frozenset(flags)
+        self.scoped = _TENANT in template
+        #: canonical path (no tenant marker), used as the trace's route tag
+        self.path = template.replace(_TENANT, "")
+        segments = [s for s in self.path.split("/") if s]
+        self.segments = segments[1:] if segments[0] == "v1" else segments
+
+    def match(self, method: str, parts: list[str], tenant: str | None):
+        """Handler arguments bound from the path, or ``None`` on no match."""
+        if method != self.method or len(parts) != len(self.segments):
+            return None
+        if tenant is not None and not self.scoped:
+            return None
+        args: list[Any] = [tenant] if self.scoped else []
+        for segment, part in zip(self.segments, parts):
+            if segment.startswith("<"):
+                args.append(part)
+            elif segment != part:
+                return None
+        return args
 
 
 class ExplainerHTTPServer(ThreadingHTTPServer):
@@ -422,6 +514,9 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> Any:
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            # rfile.read(-1) would block until the client closes
+            raise BadRequest(f"invalid Content-Length {length}")
         if length > MAX_BODY_BYTES:
             raise BadRequest(f"request body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length) if length else b"{}"
@@ -434,9 +529,7 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
 
     # -- failure containment -----------------------------------------------
 
-    def _shed_if_draining(
-        self, parts: list[str], request_id: str | None = None
-    ) -> bool:
+    def _shed_if_draining(self, parts: list[str]) -> bool:
         """Refuse new work with 503 + Retry-After while draining.
 
         Liveness (``/healthz``), readiness (``/readyz``) and ``/metrics``
@@ -447,12 +540,37 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
             return False
         if parts and parts[0] in ("healthz", "readyz", "metrics"):
             return False
-        body = {"error": "server is draining; retry against a healthy replica"}
-        if request_id is not None:
-            # shed responses carry the request id too, so a client
-            # correlating retries across replicas never loses the trail
-            body["request_id"] = request_id
+        # shed responses carry the request id too, so a client
+        # correlating retries across replicas never loses the trail
+        body = {
+            "error": "server is draining; retry against a healthy replica",
+            "request_id": self._request_id,
+        }
         self._send_json(503, body, headers={"Retry-After": "1"})
+        return True
+
+    def _refuse_follower_write(self) -> bool:
+        """Followers answer reads only; writes bounce to the leader (503).
+
+        Returns True when the request was answered here.  The body names
+        the leader so a client library can retarget without re-resolving
+        topology out of band.
+        """
+        manager = getattr(self.server, "replication", None)
+        if manager is None or manager.is_leader:
+            return False
+        self._send_json(
+            503,
+            {
+                "error": (
+                    f"this replica is a follower; {self.command} {self.path} "
+                    "is a write and must go to the leader"
+                ),
+                "leader_url": manager.leader_url,
+                "request_id": self._request_id,
+            },
+            headers={"Retry-After": "1"},
+        )
         return True
 
     def _deadline_ms(self) -> float | None:
@@ -480,8 +598,208 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
                 ) from exc
         return value if value > 0 else None
 
-    def _health_report(self) -> tuple[bool, dict]:
-        """Per-subsystem readiness checks behind ``/readyz``.
+    # -- dispatch ----------------------------------------------------------
+
+    def _segments(self) -> list[str]:
+        parts = [p for p in urlsplit(self.path).path.split("/") if p]
+        if parts and parts[0] == "v1":
+            parts = parts[1:]
+        return parts
+
+    def _query(self) -> dict[str, str]:
+        """Last-wins flat view of the URL query string."""
+        return {
+            key: values[-1]
+            for key, values in parse_qs(urlsplit(self.path).query).items()
+        }
+
+    def _session(self, tenant: str | None) -> ExplainerSession:
+        """The session a session route addresses.
+
+        ``tenant`` names a registry tenant (loaded on first access);
+        ``None`` means the server's default session (404 when the server
+        is registry-only).
+        """
+        if tenant is None:
+            session = self.server.session  # type: ignore[attr-defined]
+            if session is None:
+                raise NotFound(
+                    f"no default session; address a tenant, e.g. /v1/<name>{self.path}"
+                )
+            return session
+        if self.registry is None:
+            raise NotFound(f"unknown endpoint {self.path!r}")
+        with _store_errors_as_404():
+            return self.registry.get(tenant)
+
+    def _registry(self):
+        if self.registry is None:
+            raise NotFound("this server has no registry")
+        return self.registry
+
+    def _replication(self):
+        manager = getattr(self.server, "replication", None)
+        if manager is None:
+            raise NotFound("this server has no replication manager")
+        return manager
+
+    def _monitor_scheduler(self):
+        scheduler = self.server.monitors  # type: ignore[attr-defined]
+        if scheduler is None:
+            raise NotFound("this server has no monitor scheduler")
+        return scheduler
+
+    def _dispatch(self, method: str) -> None:
+        """Answer one request: shed, match :attr:`routes`, run the handler.
+
+        A first path segment outside :data:`RESERVED_SEGMENTS` names a
+        registry tenant and only matches session routes.  Handlers return
+        a dict to answer 200 JSON, or ``None`` after answering themselves;
+        whatever they raise is answered through :func:`error_response`.
+        """
+        self._request_started = time.perf_counter()
+        # The request id doubles as the trace id: it is echoed in the
+        # response (success or error), stamped into WAL records written
+        # on this request's behalf, and keys the /v1/traces lookup.
+        self._request_id = _tracing.new_id()
+        try:
+            parts = self._segments()
+            if self._shed_if_draining(parts):
+                return
+            # a malformed deadline is a client error on any POST, routed or not
+            deadline_ms = self._deadline_ms() if method == "POST" else None
+            tenant = None
+            if parts and parts[0] not in RESERVED_SEGMENTS:
+                tenant, parts = parts[0], parts[1:]
+            for route in self.routes:
+                args = route.match(method, parts, tenant)
+                if args is not None:
+                    break
+            else:
+                raise NotFound(f"unknown endpoint {self.path!r}")
+            if method != "GET":
+                # read the body even when unused so keep-alive stays in sync
+                args.append(self._read_body())
+            if "write" in route.flags and self._refuse_follower_write():
+                return
+            if "traced" in route.flags:
+                self._traced(route, deadline_ms, *args)
+                return
+            result = route.handler(self, *args)
+            if result is not None:
+                self._send_json(200, result)
+        except Exception as exc:  # noqa: BLE001 - mapped; internal defects -> 500
+            status, message, headers = error_response(exc)
+            self._send_json(
+                status,
+                {"error": message, "request_id": self._request_id},
+                headers=headers,
+            )
+
+    def _traced(
+        self, route: Route, deadline_ms: float | None, tenant: str | None, payload: Any
+    ) -> None:
+        """Run a session POST in its trace and answer with the envelope.
+
+        The handler runs inside the request's trace and deadline scope,
+        after an ``X-Repro-Min-State`` pin is honoured, and once more
+        against a freshly resolved session if its own was sealed.
+        """
+        if not isinstance(payload, Mapping):
+            raise BadRequest("request body must be a JSON object")
+        session = self._session(tenant)
+        min_state = self.headers.get("X-Repro-Min-State")
+        pinned = min_state and hasattr(session, "has_state")
+        if pinned and not session.has_state(min_state):
+            # read-your-writes: this replica has not yet applied the state
+            # the client saw; let it retry here or pin to a replica that
+            # has caught up
+            self._send_json(
+                503,
+                {
+                    "error": (
+                        f"replica has not reached state {min_state!r} "
+                        "yet; retry after replication catches up"
+                    ),
+                    "request_id": self._request_id,
+                    "state_token": session.state_token,
+                },
+                headers={
+                    "Retry-After": "1",
+                    "X-Repro-State": session.state_token,
+                },
+            )
+            return
+        # The trace context closes before the response is sent, so a
+        # follow-up /v1/traces?id=<request_id> always finds it.  The
+        # deadline scope opens here so the budget covers queue wait
+        # and compute but not body parsing already done above.
+        with _deadline.scope(deadline_ms), _tracing.trace(
+            f"POST {route.path}",
+            trace_id=self._request_id,
+            tags={"method": "POST", "route": route.path, "tenant": session.tenant},
+        ):
+            try:
+                response = route.handler(self, session, payload)
+            except StoreError as exc:
+                # The session may have been evicted (log sealed) between
+                # resolution and dispatch; one re-resolve gets the
+                # tenant's freshly restored session instead of bouncing
+                # a valid request back to the client.
+                if "sealed" not in str(exc) or self.registry is None:
+                    raise
+                session = self._session(tenant)
+                response = route.handler(self, session, payload)
+        # elapsed_ms covers the whole handler — body read, micro-batcher
+        # queue wait, compute, serialization — while queue_ms/compute_ms
+        # break out the dispatch lane's share from the finished trace
+        # (both 0.0 on cache hits or with observability disabled).
+        queue_ms = compute_ms = 0.0
+        record = _tracing.get_tracer().get(self._request_id)
+        if record is not None:
+            for recorded in record["spans"]:
+                if recorded["name"] == "queue_wait":
+                    queue_ms += recorded["duration_ms"]
+                elif recorded["name"] == "compute":
+                    compute_ms += recorded["duration_ms"]
+        result = response.get("result")
+        if isinstance(result, Mapping) and result.get("degraded"):
+            # Hoist the degradation label so clients that only look at
+            # the envelope still see that this 200 is an anytime answer.
+            response["degraded"] = True
+            response["degraded_reason"] = result.get("degraded_reason")
+        response["table_version"] = session.table_version
+        response["state_token"] = session.state_token
+        response["request_id"] = self._request_id
+        response["elapsed_ms"] = round(
+            (time.perf_counter() - self._request_started) * 1e3, 3
+        )
+        response["queue_ms"] = round(queue_ms, 3)
+        response["compute_ms"] = round(compute_ms, 3)
+        self._send_json(200, response)
+
+    def do_GET(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch("GET")
+
+    def do_POST(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch("POST")
+
+    def do_DELETE(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch("DELETE")
+
+    # -- process endpoints -------------------------------------------------
+
+    def _healthz(self) -> dict:
+        # Pure liveness: answers 200 as long as the process can serve
+        # HTTP at all — draining included (the supervisor must not kill
+        # a replica that is still answering).
+        return {
+            "status": "alive",
+            "draining": bool(getattr(self.server, "draining", False)),
+        }
+
+    def _readyz(self) -> None:
+        """Per-subsystem readiness checks; 503 + Retry-After when not ready.
 
         Solver-pool failures are reported but never flip readiness: the
         inline fallback contains them.  Queue saturation and an
@@ -531,91 +849,25 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
                 "loaded": registry.loaded(),
             }
         ready = all(check["ok"] for check in checks.values())
-        return ready, {
-            "status": "ready" if ready else "unavailable",
-            "checks": checks,
-        }
-
-    # -- routing -----------------------------------------------------------
-
-    def _segments(self) -> list[str]:
-        parts = [p for p in urlsplit(self.path).path.split("/") if p]
-        if parts and parts[0] == "v1":
-            parts = parts[1:]
-        return parts
-
-    def _query(self) -> dict[str, str]:
-        """Last-wins flat view of the URL query string."""
-        return {
-            key: values[-1]
-            for key, values in parse_qs(urlsplit(self.path).query).items()
-        }
-
-    def _resolve(self) -> tuple[ExplainerSession, str]:
-        """Map the request path to (session, canonical ``/v1/...`` subpath).
-
-        A first segment outside the reserved route names addresses a
-        registry tenant; everything else goes to the server's default
-        session (404 when the server is registry-only).
-        """
-        parts = self._segments()
-        if not parts:
-            raise NotFound(self.path)
-        if parts[0] not in RESERVED_SEGMENTS:
-            if self.registry is None:
-                raise NotFound(f"unknown endpoint {self.path!r}")
-            tenant, parts = parts[0], parts[1:]
-            if not parts:
-                raise NotFound(f"missing endpoint after tenant {tenant!r}")
-            try:
-                session = self.registry.get(tenant)
-            except StoreError as exc:
-                raise NotFound(str(exc)) from exc
-            return session, "/v1/" + "/".join(parts)
-        session = self.server.session  # type: ignore[attr-defined]
-        if session is None:
-            raise NotFound(
-                f"no default session; address a tenant, e.g. /v1/<name>{self.path}"
-            )
-        return session, "/v1/" + "/".join(parts)
-
-    def _monitor_scheduler(self):
-        scheduler = self.server.monitors  # type: ignore[attr-defined]
-        if scheduler is None:
-            raise NotFound("this server has no monitor scheduler")
-        return scheduler
-
-    # -- monitor endpoints -------------------------------------------------
-
-    def _monitors_get(self, session: ExplainerSession, sub: str) -> dict:
-        monitors = self._monitor_scheduler().ensure(session)
-        if sub == "/v1/monitors":
-            return monitors.list()
-        monitor_id = sub.rsplit("/", 1)[1]
-        try:
-            return monitors.get(monitor_id)
-        except KeyError as exc:
-            raise NotFound(f"unknown monitor {monitor_id!r}") from exc
-
-    def _watch_get(self, session: ExplainerSession) -> dict:
-        from repro.monitor.monitors import WATCH_DEFAULT_TIMEOUT
-
-        query = self._query()
-        try:
-            cursor = int(query.get("cursor", 0))
-            timeout = float(query.get("timeout", WATCH_DEFAULT_TIMEOUT))
-        except ValueError as exc:
-            raise BadRequest(
-                f"cursor/timeout must be numeric: {exc}"
-            ) from exc
-        return self._monitor_scheduler().watch(
-            session, cursor=cursor, timeout=timeout
+        report = {"status": "ready" if ready else "unavailable", "checks": checks}
+        if not ready:
+            report["request_id"] = self._request_id
+        self._send_json(
+            200 if ready else 503,
+            report,
+            headers=None if ready else {"Retry-After": "1"},
         )
 
-    # -- observability endpoints -------------------------------------------
+    def _metrics(self) -> None:
+        # Prometheus text exposition; no session or tenant load required.
+        self._send_text(
+            200,
+            _obs.get_registry().to_prometheus(),
+            content_type="text/plain; version=0.0.4; charset=utf-8",
+        )
 
-    def _traces_get(self) -> dict:
-        """``/v1/traces``: finished traces from the in-memory rings."""
+    def _traces(self) -> dict:
+        """Finished traces from the in-memory rings."""
         query = self._query()
         tracer = _tracing.get_tracer()
         trace_id = query.get("id")
@@ -635,487 +887,231 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
             "tracer": tracer.stats(),
         }
 
-    # -- registry endpoints ------------------------------------------------
+    # -- session endpoints -------------------------------------------------
 
-    def _registry_get(self, parts: list[str]) -> dict:
-        registry = self.registry
-        if registry is None:
-            raise NotFound("this server has no registry")
-        if len(parts) == 1:
-            loaded = set(registry.loaded())
-            return {
-                "tenants": {
-                    name: {
-                        "loaded": name in loaded,
-                        "snapshots": len(registry.store.snapshots(name)),
-                    }
-                    for name in registry.names()
-                },
-            }
-        if len(parts) == 2:
-            name = parts[1]
-            try:
-                manifest = registry.store.manifest(name)
-            except StoreError as exc:
-                raise NotFound(str(exc)) from exc
-            loaded = name in registry.loaded()
-            return {
-                "name": name,
-                "loaded": loaded,
-                "snapshots": registry.store.snapshots(name),
-                "latest": {
-                    "snapshot_id": manifest["snapshot_id"],
-                    "wal_seq": manifest["wal_seq"],
-                    "fingerprint": manifest["session"]["fingerprint"],
-                    "n_rows": manifest["session"]["n_rows"],
-                },
-            }
-        raise NotFound(self.path)
-
-    def _registry_post(self, parts: list[str]) -> dict:
-        registry = self.registry
-        if registry is None or len(parts) != 3:
-            raise NotFound(self.path)
-        name, action = parts[1], parts[2]
-        try:
-            if action == "snapshot":
-                manifest = registry.snapshot(name)
-                return {
-                    "name": name,
-                    "snapshot_id": manifest["snapshot_id"],
-                    "wal_seq": manifest["wal_seq"],
-                }
-            if action == "evict":
-                return {"name": name, "evicted": registry.evict(name)}
-        except StoreError as exc:
-            raise NotFound(str(exc)) from exc
-        raise NotFound(self.path)
-
-    # -- replication endpoints ----------------------------------------------
-
-    def _refuse_follower_write(self, sub: str, request_id: str) -> bool:
-        """Followers answer reads only; writes bounce to the leader (503).
-
-        Returns True when the request was answered here.  The body names
-        the leader so a client library can retarget without re-resolving
-        topology out of band.
-        """
-        manager = getattr(self.server, "replication", None)
-        if manager is None or manager.is_leader:
-            return False
-        self._send_json(
-            503,
-            {
-                "error": (
-                    f"this replica is a follower; {sub} is a write and "
-                    "must go to the leader"
-                ),
-                "leader_url": manager.leader_url,
-                "request_id": request_id,
-            },
-            headers={"Retry-After": "1"},
-        )
-        return True
-
-    def _replication_post(
-        self, parts: list[str], payload: Any, request_id: str
-    ) -> dict:
-        manager = getattr(self.server, "replication", None)
-        if manager is None:
-            raise NotFound("this server has no replication manager")
-        if parts == ["replication", "promote"]:
-            if not isinstance(payload, Mapping):
-                raise BadRequest("request body must be a JSON object")
-            result = manager.promote(
-                catchup_store=payload.get("catchup_store"),
-                reason=str(payload.get("reason") or "explicit promotion"),
-            )
-            result["request_id"] = request_id
-            return result
-        if parts == ["replication", "retarget"]:
-            if not isinstance(payload, Mapping) or not payload.get("leader_url"):
-                raise BadRequest('"leader_url" is required')
-            manager.retarget(str(payload["leader_url"]))
-            return {"leader_url": manager.leader_url, "request_id": request_id}
-        raise NotFound(self.path)
-
-    # -- routes ------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._request_started = time.perf_counter()
-        request_id = _tracing.new_id()
-        try:
-            parts = self._segments()
-            if self._shed_if_draining(parts, request_id):
-                return
-            if parts == ["healthz"]:
-                # Pure liveness: answers 200 as long as the process can
-                # serve HTTP at all — draining included (the supervisor
-                # must not kill a replica that is still answering).
-                self._send_json(
-                    200,
-                    {
-                        "status": "alive",
-                        "draining": bool(getattr(self.server, "draining", False)),
-                    },
-                )
-                return
-            if parts == ["readyz"]:
-                ready, report = self._health_report()
-                if not ready:
-                    report["request_id"] = request_id
-                self._send_json(
-                    200 if ready else 503,
-                    report,
-                    headers=None if ready else {"Retry-After": "1"},
-                )
-                return
-            if parts == ["metrics"]:
-                # Prometheus text exposition; reachable at /metrics and
-                # /v1/metrics, no session or tenant load required.
-                self._send_text(
-                    200,
-                    _obs.get_registry().to_prometheus(),
-                    content_type="text/plain; version=0.0.4; charset=utf-8",
-                )
-                return
-            if parts == ["traces"]:
-                self._send_json(200, self._traces_get())
-                return
-            if parts == ["replication"]:
-                manager = getattr(self.server, "replication", None)
-                if manager is None:
-                    raise NotFound("this server has no replication manager")
-                self._send_json(200, manager.status())
-                return
-            if parts and parts[0] == "registry":
-                # replication transfer surface: raw manifest + blob bytes
-                if len(parts) == 3 and parts[2] == "manifest":
-                    if self.registry is None:
-                        raise NotFound("this server has no registry")
-                    try:
-                        manifest = self.registry.store.manifest(parts[1])
-                    except StoreError as exc:
-                        raise NotFound(str(exc)) from exc
-                    self._send_json(200, manifest)
-                    return
-                if len(parts) == 4 and parts[2] == "object":
-                    if self.registry is None:
-                        raise NotFound("this server has no registry")
-                    try:
-                        data = self.registry.store.get_bytes(parts[3])
-                    except StoreError as exc:
-                        raise NotFound(str(exc)) from exc
-                    self._send_bytes(200, data)
-                    return
-                self._send_json(200, self._registry_get(parts))
-                return
+    def _health(self, tenant: str | None) -> dict:
+        if tenant is None and self.server.session is None:  # type: ignore[attr-defined]
             # A registry-only server still needs process-level liveness:
             # /v1/health must answer without forcing any tenant to load.
-            if (
-                self.server.session is None  # type: ignore[attr-defined]
-                and self.registry is not None
-                and parts in (["health"], ["stats"])
-            ):
-                if parts == ["health"]:
-                    self._send_json(
-                        200,
-                        {
-                            "status": "ok",
-                            "mode": "registry",
-                            "tenants": len(self.registry.names()),
-                            "loaded": self.registry.loaded(),
-                        },
-                    )
-                else:
-                    stats = self.registry.stats()
-                    stats["metrics"] = _obs.get_registry().snapshot()
-                    stats["tracing"] = _tracing.get_tracer().stats()
-                    self._send_json(200, stats)
-                return
-            session, sub = self._resolve()
-            if sub == "/v1/health":
-                report = {
-                    "status": "ok",
-                    "tenant": session.tenant,
-                    "fingerprint": session.fingerprint,
-                    "table_version": session.table_version,
-                    "state_token": session.state_token,
-                    "n_rows": len(session.lewis.data),
-                }
-                log = getattr(session, "log", None)
-                if log is not None:
-                    report["last_seq"] = log.last_seq
-                if self._query().get("digest") in ("1", "true", "yes"):
-                    # canonical engine fingerprint (per-column marginal
-                    # count tensors): the convergence oracle replicas
-                    # compare after failover
-                    report["state_digest"] = (
-                        session.lewis.estimator.engine.state_digest()
-                    )
-                self._send_json(200, report)
-            elif sub == "/v1/log":
-                from repro.replication.ship import build_batch
+            registry = self._registry()
+            return {
+                "status": "ok",
+                "mode": "registry",
+                "tenants": len(registry.names()),
+                "loaded": registry.loaded(),
+            }
+        session = self._session(tenant)
+        report = {
+            "status": "ok",
+            "tenant": session.tenant,
+            "fingerprint": session.fingerprint,
+            "table_version": session.table_version,
+            "state_token": session.state_token,
+            "n_rows": len(session.lewis.data),
+        }
+        log = getattr(session, "log", None)
+        if log is not None:
+            report["last_seq"] = log.last_seq
+        if self._query().get("digest") in ("1", "true", "yes"):
+            # canonical engine fingerprint (per-column marginal count
+            # tensors): the convergence oracle replicas compare after
+            # failover
+            report["state_digest"] = session.lewis.estimator.engine.state_digest()
+        return report
 
-                query = self._query()
-                try:
-                    cursor = int(query.get("cursor", 0))
-                    limit = int(query.get("max", 0)) or None
-                except ValueError as exc:
-                    raise BadRequest(f"cursor/max must be integers: {exc}") from exc
-                manager = getattr(self.server, "replication", None)
-                kwargs = {"epoch": manager.shipping_epoch()} if manager else {}
-                if limit is not None:
-                    kwargs["limit"] = limit
-                try:
-                    self._send_json(
-                        200, build_batch(session, cursor, tenant=session.tenant, **kwargs)
-                    )
-                except StoreError as exc:
-                    raise NotFound(str(exc)) from exc
-            elif sub == "/v1/stats":
-                stats = session.stats()
-                scheduler = self.server.monitors  # type: ignore[attr-defined]
-                if scheduler is not None:
-                    attached = scheduler.peek(session)
-                    if attached is not None:
-                        stats["monitors"] = attached.stats()
-                # one-stop snapshot: the classic per-session keys above
-                # stay for compatibility; "metrics" is the authoritative
-                # process-wide registry view those keys now mirror.
-                stats["metrics"] = _obs.get_registry().snapshot()
-                stats["tracing"] = _tracing.get_tracer().stats()
-                self._send_json(200, stats)
-            elif sub == "/v1/monitors" or sub.startswith("/v1/monitors/"):
-                self._send_json(200, self._monitors_get(session, sub))
-            elif sub == "/v1/watch":
-                self._send_json(200, self._watch_get(session))
-            else:
-                raise NotFound(f"unknown endpoint {self.path!r}")
-        except NotFound as exc:
-            self._send_json(404, {"error": str(exc), "request_id": request_id})
-        except (BadRequest, ValueError) as exc:
-            self._send_json(400, {"error": str(exc), "request_id": request_id})
-        except Exception as exc:  # noqa: BLE001 - internal defects -> 500
-            self._send_json(
-                500,
-                {
-                    "error": f"internal error: {type(exc).__name__}: {exc}",
-                    "request_id": request_id,
-                },
-            )
+    def _stats(self, tenant: str | None) -> dict:
+        if tenant is None and self.server.session is None:  # type: ignore[attr-defined]
+            stats = self._registry().stats()
+        else:
+            session = self._session(tenant)
+            stats = session.stats()
+            attached = self._monitor_scheduler().peek(session)
+            if attached is not None:
+                stats["monitors"] = attached.stats()
+        # one-stop snapshot: the classic per-session keys above stay for
+        # compatibility; "metrics" is the authoritative process-wide
+        # registry view those keys now mirror.
+        stats["metrics"] = _obs.get_registry().snapshot()
+        stats["tracing"] = _tracing.get_tracer().stats()
+        return stats
 
-    def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        self._request_started = time.perf_counter()
-        request_id = _tracing.new_id()
+    def _update(self, session: ExplainerSession, payload: Any) -> dict:
+        response = session.update(TableDelta.from_json(payload))
+        # refresh the tenant's standing monitors against the batch just
+        # applied (async, on its lane)
+        self._monitor_scheduler().notify(session)
+        return response
+
+    # -- monitor endpoints -------------------------------------------------
+
+    def _add_monitor(self, session: ExplainerSession, payload: Any) -> dict:
+        return self._monitor_scheduler().ensure(session).add(payload)
+
+    def _list_monitors(self, tenant: str | None) -> dict:
+        return self._monitor_scheduler().ensure(self._session(tenant)).list()
+
+    def _get_monitor(self, tenant: str | None, monitor_id: str) -> dict:
+        monitors = self._monitor_scheduler().ensure(self._session(tenant))
         try:
-            self._read_body()  # drain so keep-alive stays in sync
-            parts = self._segments()
-            if self._shed_if_draining(parts, request_id):
-                return
-            registry = self.registry
-            if registry is not None and len(parts) == 2 and parts[0] == "registry":
-                if self._refuse_follower_write(self.path, request_id):
-                    return
-                scheduler = self.server.monitors  # type: ignore[attr-defined]
-                if scheduler is not None:
-                    # release the journal handle before the store unlinks it
-                    scheduler.drop(parts[1])
-                removed = registry.remove(parts[1])
-                self._send_json(200, {"name": parts[1], "removed": removed})
-                return
-            session, sub = self._resolve()
-            if sub.startswith("/v1/monitors/"):
-                if self._refuse_follower_write(sub, request_id):
-                    return
-                monitors = self._monitor_scheduler().ensure(session)
-                self._send_json(200, monitors.remove(sub.rsplit("/", 1)[1]))
-                return
-            raise NotFound(f"unknown endpoint {self.path!r}")
-        except NotFound as exc:
-            self._send_json(404, {"error": str(exc), "request_id": request_id})
-        except (BadRequest, ValueError) as exc:
-            self._send_json(400, {"error": str(exc), "request_id": request_id})
-        except StoreError as exc:
-            self._send_json(404, {"error": str(exc), "request_id": request_id})
-        except Exception as exc:  # noqa: BLE001 - internal defects -> 500
-            self._send_json(
-                500,
-                {
-                    "error": f"internal error: {type(exc).__name__}: {exc}",
-                    "request_id": request_id,
-                },
-            )
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        started = time.perf_counter()
-        self._request_started = started
-        # The request id doubles as the trace id: it is echoed in the
-        # response (success or error), stamped into WAL records written
-        # on this request's behalf, and keys the /v1/traces lookup.
-        request_id = _tracing.new_id()
-
-        def error(
-            status: int,
-            message: str,
-            headers: Mapping[str, str] | None = None,
-        ) -> None:
-            self._send_json(
-                status,
-                {"error": message, "request_id": request_id},
-                headers=headers,
-            )
-
-        try:
-            parts = self._segments()
-            if self._shed_if_draining(parts, request_id):
-                return
-            if parts and parts[0] == "replication":
-                payload = self._read_body()
-                self._send_json(
-                    200, self._replication_post(parts, payload, request_id)
-                )
-                return
-            if parts and parts[0] == "registry":
-                self._read_body()  # drain the body so keep-alive stays in sync
-                self._send_json(200, self._registry_post(parts))
-                return
-            session, sub = self._resolve()
-            payload = self._read_body()
-            if sub in ("/v1/update", "/v1/monitors") and self._refuse_follower_write(
-                sub, request_id
-            ):
-                return
-            min_state = self.headers.get("X-Repro-Min-State")
-            if min_state and hasattr(session, "has_state"):
-                if not session.has_state(min_state):
-                    # read-your-writes: this replica has not yet applied
-                    # the state the client saw; let it retry here or pin
-                    # to a replica that has caught up
-                    self._send_json(
-                        503,
-                        {
-                            "error": (
-                                f"replica has not reached state {min_state!r} "
-                                "yet; retry after replication catches up"
-                            ),
-                            "request_id": request_id,
-                            "state_token": session.state_token,
-                        },
-                        headers={
-                            "Retry-After": "1",
-                            "X-Repro-State": session.state_token,
-                        },
-                    )
-                    return
-            deadline_ms = self._deadline_ms()
-
-            def dispatch(target):
-                if sub == "/v1/update":
-                    response = target.update(TableDelta.from_json(payload))
-                    scheduler = self.server.monitors  # type: ignore[attr-defined]
-                    if scheduler is not None:
-                        # refresh the tenant's standing monitors against
-                        # the batch just applied (async, on its lane)
-                        scheduler.notify(target)
-                    return response
-                if sub == "/v1/monitors":
-                    return self._monitor_scheduler().ensure(target).add(payload)
-                return target.handle(_build_request(sub, payload))
-
-            # The trace context closes before the response is sent, so a
-            # follow-up /v1/traces?id=<request_id> always finds it.  The
-            # deadline scope opens here so the budget covers queue wait
-            # and compute but not body parsing already done above.
-            with _deadline.scope(deadline_ms), _tracing.trace(
-                f"POST {sub}",
-                trace_id=request_id,
-                tags={"method": "POST", "route": sub, "tenant": session.tenant},
-            ):
-                try:
-                    response = dispatch(session)
-                except StoreError as exc:
-                    # The session may have been evicted (log sealed) between
-                    # resolution and dispatch; one re-resolve gets the
-                    # tenant's freshly restored session instead of bouncing
-                    # a valid request back to the client.
-                    if "sealed" not in str(exc) or self.registry is None:
-                        raise
-                    session, sub = self._resolve()
-                    response = dispatch(session)
-        except NotFound as exc:
-            error(404, str(exc))
-            return
-        except (BadRequest, DomainError, ValueError) as exc:
-            # ValueError is the library's client-error convention
-            # (malformed deltas, bad selectors, missing actionables).
-            error(400, str(exc))
-            return
+            return monitors.get(monitor_id)
         except KeyError as exc:
-            error(400, f"unknown attribute: {exc}")
-            return
-        except IndexError as exc:
-            error(400, f"row index out of range: {exc}")
-            return
-        except RecourseInfeasibleError as exc:
-            error(409, f"recourse infeasible: {exc}")
-            return
-        except EstimationError as exc:
-            error(422, f"unsupported conditioning event: {exc}")
-            return
-        except DeadlineExceededError as exc:
-            error(504, f"deadline exceeded: {exc}")
-            return
-        except OverloadedError as exc:
-            retry_after = max(1, int(round(exc.retry_after_s)))
-            error(
-                429,
-                f"overloaded: {exc}",
-                headers={"Retry-After": str(retry_after)},
-            )
-            return
-        except DegradedError as exc:
-            # The store is read-only degraded (failed write/fsync); the
-            # data is safe but this replica cannot accept the request.
-            error(
-                503,
-                f"store degraded: {exc}",
-                headers={"Retry-After": "1"},
-            )
-            return
-        except StoreError as exc:
-            # transient persistence-layer contention (e.g. racing an
-            # eviction): the request is valid, a retry will succeed
-            error(503, f"store busy: {exc}")
-            return
-        except Exception as exc:  # noqa: BLE001 - internal defects -> 500
-            error(500, f"internal error: {type(exc).__name__}: {exc}")
-            return
-        # elapsed_ms covers the whole handler — body read, micro-batcher
-        # queue wait, compute, serialization — while queue_ms/compute_ms
-        # break out the dispatch lane's share from the finished trace
-        # (both 0.0 on cache hits or with observability disabled).
-        queue_ms = compute_ms = 0.0
-        record = _tracing.get_tracer().get(request_id)
-        if record is not None:
-            for recorded in record["spans"]:
-                if recorded["name"] == "queue_wait":
-                    queue_ms += recorded["duration_ms"]
-                elif recorded["name"] == "compute":
-                    compute_ms += recorded["duration_ms"]
-        result = response.get("result")
-        if isinstance(result, Mapping) and result.get("degraded"):
-            # Hoist the degradation label so clients that only look at
-            # the envelope still see that this 200 is an anytime answer.
-            response["degraded"] = True
-            response["degraded_reason"] = result.get("degraded_reason")
-        response["table_version"] = session.table_version
-        response["state_token"] = session.state_token
-        response["request_id"] = request_id
-        response["elapsed_ms"] = round((time.perf_counter() - started) * 1e3, 3)
-        response["queue_ms"] = round(queue_ms, 3)
-        response["compute_ms"] = round(compute_ms, 3)
-        self._send_json(200, response)
+            raise NotFound(f"unknown monitor {monitor_id!r}") from exc
+
+    def _remove_monitor(self, tenant: str | None, monitor_id: str, _payload) -> dict:
+        monitors = self._monitor_scheduler().ensure(self._session(tenant))
+        return monitors.remove(monitor_id)
+
+    def _watch(self, tenant: str | None) -> dict:
+        from repro.monitor.monitors import WATCH_DEFAULT_TIMEOUT
+
+        query = self._query()
+        try:
+            cursor = int(query.get("cursor", 0))
+            timeout = float(query.get("timeout", WATCH_DEFAULT_TIMEOUT))
+        except ValueError as exc:
+            raise BadRequest(
+                f"cursor/timeout must be numeric: {exc}"
+            ) from exc
+        return self._monitor_scheduler().watch(
+            self._session(tenant), cursor=cursor, timeout=timeout
+        )
+
+    # -- registry endpoints ------------------------------------------------
+
+    def _list_registry(self) -> dict:
+        registry = self._registry()
+        loaded = set(registry.loaded())
+        return {
+            "tenants": {
+                name: {
+                    "loaded": name in loaded,
+                    "snapshots": len(registry.store.snapshots(name)),
+                }
+                for name in registry.names()
+            },
+        }
+
+    def _describe_tenant(self, name: str) -> dict:
+        registry = self._registry()
+        manifest = self._manifest(name)
+        return {
+            "name": name,
+            "loaded": name in registry.loaded(),
+            "snapshots": registry.store.snapshots(name),
+            "latest": {
+                "snapshot_id": manifest["snapshot_id"],
+                "wal_seq": manifest["wal_seq"],
+                "fingerprint": manifest["session"]["fingerprint"],
+                "n_rows": manifest["session"]["n_rows"],
+            },
+        }
+
+    def _snapshot_tenant(self, name: str, _payload) -> dict:
+        with _store_errors_as_404():
+            manifest = self._registry().snapshot(name)
+        return {
+            "name": name,
+            "snapshot_id": manifest["snapshot_id"],
+            "wal_seq": manifest["wal_seq"],
+        }
+
+    def _evict_tenant(self, name: str, _payload) -> dict:
+        with _store_errors_as_404():
+            return {"name": name, "evicted": self._registry().evict(name)}
+
+    def _remove_tenant(self, name: str, _payload) -> dict:
+        registry = self._registry()
+        with _store_errors_as_404():
+            # release the journal handle before the store unlinks it
+            self._monitor_scheduler().drop(name)
+            return {"name": name, "removed": registry.remove(name)}
+
+    # -- replication endpoints ---------------------------------------------
+
+    def _manifest(self, name: str) -> dict:
+        with _store_errors_as_404():
+            return self._registry().store.manifest(name)
+
+    def _object(self, name: str, digest: str) -> None:
+        with _store_errors_as_404():
+            data = self._registry().store.get_bytes(digest)
+        self._send_bytes(200, data)
+
+    def _log(self, tenant: str | None) -> dict:
+        from repro.replication.ship import build_batch
+
+        session = self._session(tenant)
+        query = self._query()
+        try:
+            cursor = int(query.get("cursor", 0))
+            limit = int(query.get("max", 0)) or None
+        except ValueError as exc:
+            raise BadRequest(f"cursor/max must be integers: {exc}") from exc
+        manager = getattr(self.server, "replication", None)
+        kwargs = {"epoch": manager.shipping_epoch()} if manager else {}
+        if limit is not None:
+            kwargs["limit"] = limit
+        with _store_errors_as_404():
+            return build_batch(session, cursor, tenant=session.tenant, **kwargs)
+
+    def _replication_status(self) -> dict:
+        return self._replication().status()
+
+    def _promote(self, payload: Any) -> dict:
+        manager = self._replication()
+        if not isinstance(payload, Mapping):
+            raise BadRequest("request body must be a JSON object")
+        result = manager.promote(
+            catchup_store=payload.get("catchup_store"),
+            reason=str(payload.get("reason") or "explicit promotion"),
+        )
+        result["request_id"] = self._request_id
+        return result
+
+    def _retarget(self, payload: Any) -> dict:
+        manager = self._replication()
+        if not isinstance(payload, Mapping) or not payload.get("leader_url"):
+            raise BadRequest('"leader_url" is required')
+        manager.retarget(str(payload["leader_url"]))
+        return {"leader_url": manager.leader_url, "request_id": self._request_id}
+
+    #: the route table, in the module docstring's order; the first match
+    #: wins, and every template's first literal segment is reserved.
+    routes: tuple[Route, ...] = (
+        Route("GET", "/metrics", _metrics),
+        Route("GET", "/v1/traces", _traces),
+        Route("GET", "/healthz", _healthz),
+        Route("GET", "/readyz", _readyz),
+        Route("GET", "/v1/[<tenant>/]health", _health),
+        Route("GET", "/v1/[<tenant>/]stats", _stats),
+        Route("POST", "/v1/[<tenant>/]explain/global", _answers(_global_request), "traced"),
+        Route("POST", "/v1/[<tenant>/]explain/context", _answers(_context_request), "traced"),
+        Route("POST", "/v1/[<tenant>/]explain/local", _answers(_local_request), "traced"),
+        Route("POST", "/v1/[<tenant>/]explain/local_batch",
+              _answers(_local_batch_request), "traced"),
+        Route("POST", "/v1/[<tenant>/]recourse", _answers(_recourse_request), "traced"),
+        Route("POST", "/v1/[<tenant>/]recourse/batch",
+              _answers(_recourse_batch_request), "traced"),
+        Route("POST", "/v1/[<tenant>/]audit", _answers(_audit_request), "traced"),
+        Route("POST", "/v1/[<tenant>/]scores", _answers(_scores_request), "traced"),
+        Route("POST", "/v1/[<tenant>/]update", _update, "write", "traced"),
+        Route("POST", "/v1/[<tenant>/]monitors", _add_monitor, "write", "traced"),
+        Route("GET", "/v1/[<tenant>/]monitors", _list_monitors),
+        Route("GET", "/v1/[<tenant>/]monitors/<id>", _get_monitor),
+        Route("DELETE", "/v1/[<tenant>/]monitors/<id>", _remove_monitor, "write"),
+        Route("GET", "/v1/[<tenant>/]watch", _watch),
+        Route("GET", "/v1/registry", _list_registry),
+        Route("GET", "/v1/registry/<tenant>", _describe_tenant),
+        Route("POST", "/v1/registry/<tenant>/snapshot", _snapshot_tenant),
+        Route("POST", "/v1/registry/<tenant>/evict", _evict_tenant),
+        Route("DELETE", "/v1/registry/<tenant>", _remove_tenant, "write"),
+        Route("GET", "/v1/[<tenant>/]log", _log),
+        Route("GET", "/v1/registry/<tenant>/manifest", _manifest),
+        Route("GET", "/v1/registry/<tenant>/object/<digest>", _object),
+        Route("GET", "/v1/replication", _replication_status),
+        Route("POST", "/v1/replication/promote", _promote),
+        Route("POST", "/v1/replication/retarget", _retarget),
+    )
 
 
 def create_server(

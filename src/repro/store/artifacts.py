@@ -51,7 +51,7 @@ _NAME_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._
 
 #: route names the multi-tenant HTTP server claims as first path segments;
 #: a tenant with one of these names would be unreachable over HTTP.
-#: Keep in sync with ``repro.service.server.RESERVED_SEGMENTS``.
+#: ``repro.service.server`` resolves tenant paths against this set.
 RESERVED_TENANT_NAMES = frozenset(
     {"health", "healthz", "readyz", "stats", "explain", "recourse",
      "audit", "scores", "update", "registry", "monitors", "watch",

@@ -132,14 +132,18 @@ class TestRegistryEndpoints:
         assert code == 404
 
 
-def test_reserved_route_literals_stay_in_sync():
-    """server.RESERVED_SEGMENTS and artifacts.RESERVED_TENANT_NAMES are
-    deliberately duplicated literals (importing across the packages
-    would cycle); drift would let users create HTTP-unreachable tenants."""
-    from repro.service.server import RESERVED_SEGMENTS
-    from repro.store.artifacts import RESERVED_TENANT_NAMES
+def test_every_route_starts_with_a_reserved_segment():
+    """A route whose first literal segment is not reserved would be parsed
+    as a tenant name, so tenant creation must refuse every such segment."""
+    from repro.service.server import ExplainerRequestHandler
+    from repro.store.artifacts import check_tenant_name
+    from repro.utils.exceptions import StoreError
 
-    assert set(RESERVED_SEGMENTS) == set(RESERVED_TENANT_NAMES)
+    for route in ExplainerRequestHandler.routes:
+        first = route.segments[0]
+        assert not first.startswith("<"), route.template
+        with pytest.raises(StoreError, match="reserved"):
+            check_tenant_name(first)
 
 
 class TestProcessLevelEndpoints:
