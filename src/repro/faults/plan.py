@@ -1,12 +1,19 @@
 """Deterministic fault injection: seeded plans over named injection points.
 
-The serving stack declares *injection points* — ``wal.append.fsync``,
-``store.atomic_write``, ``recourse.chunk``, ``monitor.refresh``, and the
-replication tier's ``repl.ship.{drop,dup,reorder}`` / ``repl.apply.crash``
-/ ``repl.promote`` — at the exact lines where the real world fails (a
-full disk, a crashed pool worker, a buggy monitor, a lossy network
-between replicas, a node dying mid-promotion).  A :class:`FaultPlan` decides, deterministically
-from a seed, which evaluations of which points misbehave.  Chaos tests
+The serving stack declares *injection points* at the exact lines where
+the real world fails (a full disk, a crashed pool worker, a buggy
+monitor, a lossy network between replicas, a node dying mid-promotion):
+
+* ``wal.append.{write,torn,fsync}`` / ``wal.compact.{fsync,replace}`` —
+  the write-ahead log's appends and checkpoint compaction;
+* ``journal.append.{write,torn,fsync}`` — monitor journal appends;
+* ``store.atomic_write[.torn|.fsync]`` — snapshot artifact writes;
+* ``recourse.chunk``, ``monitor.refresh``;
+* ``repl.ship.{drop,dup,reorder}`` / ``repl.apply.crash`` /
+  ``repl.promote`` — the replication tier.
+
+A :class:`FaultPlan` decides, deterministically from a seed, which
+evaluations of which points misbehave.  Chaos tests
 and the CI fault matrix install plans and then assert the *containment*
 contracts: typed errors, labeled degradation, bit-identical recovery.
 

@@ -43,8 +43,9 @@ class CorruptArtifactError(StoreError):
 
 
 class DegradedError(StoreError):
-    """A durable component is in read-only degraded mode after an I/O
-    failure and refuses writes until healed (see ``DeltaLog.reopen``)."""
+    """A durable log is in read-only degraded mode after an I/O failure
+    and refuses writes until re-verified: evicting the tenant or
+    restarting the server re-opens it (see ``RecordLog._append``)."""
 
 
 class DeadlineExceededError(ReproError, RuntimeError):

@@ -33,36 +33,6 @@ APPEND_POINTS = ("wal.append.write", "wal.append.torn", "wal.append.fsync")
 
 
 class TestWalAppendFaults:
-    @pytest.mark.parametrize("point", APPEND_POINTS)
-    def test_crash_point_degrades_then_heals(self, tmp_path, point):
-        path = tmp_path / "t.jsonl"
-        log = DeltaLog(path)
-        assert log.append(delta(insert=[ROW])) == 1
-
-        with faults.plan({point: {"once": True}}):
-            with pytest.raises(DegradedError):
-                log.append(delta(delete=[0]))
-            # Degraded mode is sticky: the next append refuses too, even
-            # though the fault plan would no longer fire.
-            assert log.degraded is not None
-            with pytest.raises(DegradedError, match="degraded"):
-                log.append(delta(delete=[0]))
-
-        log.reopen()
-        assert log.degraded is None
-        # write/torn faults leave no complete record, so seq 2 is reused;
-        # an fsync fault fails *after* the complete line hit the file, so
-        # reopen adopts that record (crash-after-write-before-ack) and
-        # the next append takes seq 3. Either way the history is clean.
-        adopted = point == "wal.append.fsync"
-        assert log.append(delta(delete=[0])) == (3 if adopted else 2)
-        log.close()
-
-        recovered = DeltaLog(path)
-        seqs = [seq for seq, _d in recovered.replay()]
-        assert seqs == ([1, 2, 3] if adopted else [1, 2])
-        assert recovered.replay()[-1][1].delete == (0,)
-
     def test_torn_write_leaves_no_partial_record_after_reopen(self, tmp_path):
         path = tmp_path / "t.jsonl"
         log = DeltaLog(path)

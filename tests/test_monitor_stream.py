@@ -18,7 +18,6 @@ The subsystem's three contracts, each tested against its oracle:
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 
@@ -38,7 +37,6 @@ from repro.monitor import (
 )
 from repro.service.session import ExplainerSession
 from repro.store import ArtifactStore, checkpoint_session, create_tenant
-from repro.utils.exceptions import StoreError
 
 CARDS = {"a": 3, "b": 4, "c": 2}
 NAMES = tuple(CARDS)
@@ -333,33 +331,6 @@ class TestJournalRecovery:
         fresh = recovered.add({"kind": "monotonicity", "params": {"attribute": "a"}})
         assert int(fresh["id"].lstrip("m")) > int(kept["id"].lstrip("m"))
         recovered.close()
-
-    def test_torn_tail_is_truncated(self, trained, tmp_path):
-        path = tmp_path / "monitors.jsonl"
-        _, monitors, kept = self._fire_one_alert(trained, path)
-        last_seq = monitors._journal.last_seq
-        monitors.close()
-        good = path.read_bytes()
-        path.write_bytes(good + b'{"seq": 99, "kind": "alert", "da')  # torn append
-
-        journal = MonitorJournal(path)
-        assert journal.last_seq == last_seq
-        assert path.read_bytes() == good  # the tail was cut, nothing else
-        journal.close()
-
-    def test_mid_log_corruption_refuses_replay(self, trained, tmp_path):
-        path = tmp_path / "monitors.jsonl"
-        _, monitors, _ = self._fire_one_alert(trained, path)
-        monitors.close()
-        lines = path.read_bytes().splitlines(keepends=True)
-        assert len(lines) >= 3
-        record = json.loads(lines[1])
-        record["data"] = {"id": "tampered"}  # body no longer matches the crc
-        lines[1] = json.dumps(record).encode() + b"\n"
-        path.write_bytes(b"".join(lines))
-        with pytest.raises(StoreError, match="corrupt monitor journal"):
-            MonitorJournal(path)
-
 
 class TestDurableCursor:
     def test_compaction_counts_truncated_cursor(self, trained, tmp_path):

@@ -1,8 +1,11 @@
-"""DeltaLog: durability, sequencing, torn tails, compaction, write-ahead."""
+"""DeltaLog: durability, sequencing, compaction, write-ahead.
+
+The file rules the WAL shares with the monitor journal (torn tails,
+corruption, degraded mode) are tested once for both logs in
+``test_store_recordlog.py``.
+"""
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from repro.core.lewis import Lewis
 from repro.data.table import Table
 from repro.service.updates import TableDelta
 from repro.store import DeltaLog, DurableSession
-from repro.utils.exceptions import DomainError, StoreError
+from repro.utils.exceptions import DomainError
 
 
 def delta(insert=(), delete=()):
@@ -35,90 +38,6 @@ class TestDeltaLog:
         assert records[0][1].insert == (ROW,)
         assert records[1][1].delete == (3,)
         assert reopened.replay(after=1) == records[1:]
-
-    def test_torn_tail_is_truncated_on_open(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        log = DeltaLog(path)
-        log.append(delta(insert=[ROW]))
-        log.append(delta(delete=[0]))
-        log.close()
-        with open(path, "ab") as fh:
-            fh.write(b'{"seq": 3, "insert": [], "del')  # crash mid-write
-
-        recovered = DeltaLog(path)
-        assert recovered.last_seq == 2
-        assert len(recovered.replay()) == 2
-        # the torn bytes are gone: a fresh append continues cleanly
-        assert recovered.append(delta(delete=[1])) == 3
-        assert len(DeltaLog(path).replay()) == 3
-
-    def test_unterminated_final_line_is_torn_even_if_valid_json(self, tmp_path):
-        """A complete-looking JSON record without its newline was never
-        acknowledged (the newline is part of the fsynced write); parsing
-        it would let the next append concatenate onto the same line."""
-        path = tmp_path / "t.jsonl"
-        log = DeltaLog(path)
-        log.append(delta(insert=[ROW]))
-        log.close()
-        content = path.read_bytes()
-        path.write_bytes(content + content[:-1])  # record 2 sans newline
-
-        recovered = DeltaLog(path)
-        assert recovered.last_seq == 1  # torn tail discarded
-        assert recovered.append(delta(delete=[0])) == 2
-        assert [seq for seq, _d in DeltaLog(path).replay()] == [1, 2]
-
-    def test_non_json_values_rejected_before_acknowledgement(self, tmp_path):
-        log = DeltaLog(tmp_path / "t.jsonl")
-        assert log.append(delta(insert=[{"a": np.int64(1), "b": 0}])) == 1
-        record = log.replay()[0][1]
-        assert record.insert[0]["a"] == 1  # numpy collapsed to python int
-        with pytest.raises(StoreError, match="JSON"):
-            log.append(delta(insert=[{"a": object(), "b": 0}]))
-        assert log.last_seq == 1  # the bad record was never assigned a seq
-
-    def test_mid_log_corruption_refuses_replay(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        log = DeltaLog(path)
-        log.append(delta(insert=[ROW]))
-        log.append(delta(delete=[0]))
-        log.close()
-        lines = path.read_bytes().splitlines()
-        lines[0] = lines[0][:-5] + b'bad"}'
-        path.write_bytes(b"\n".join(lines) + b"\n")
-        with pytest.raises(StoreError, match="corrupt WAL record"):
-            DeltaLog(path)
-
-    def test_corrupt_terminated_final_record_refuses_recovery(self, tmp_path):
-        """A newline-terminated record can never be a torn write, so a
-        bad final record is corruption of acknowledged data — it must
-        refuse recovery, not silently truncate."""
-        path = tmp_path / "t.jsonl"
-        log = DeltaLog(path)
-        log.append(delta(insert=[ROW]))
-        log.append(delta(delete=[0]))
-        log.close()
-        lines = path.read_bytes().splitlines()
-        record = json.loads(lines[1])
-        record["delete"] = [9]  # bit-flip in the LAST record, stale crc
-        lines[1] = json.dumps(record).encode()
-        path.write_bytes(b"\n".join(lines) + b"\n")
-        with pytest.raises(StoreError, match="corrupt WAL record"):
-            DeltaLog(path)
-
-    def test_bit_flip_in_payload_detected_by_crc(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        log = DeltaLog(path)
-        log.append(delta(insert=[ROW]))
-        log.append(delta(delete=[0]))
-        log.close()
-        lines = path.read_bytes().splitlines()
-        record = json.loads(lines[0])
-        record["delete"] = [7]  # silent mutation, stale crc
-        lines[0] = json.dumps(record).encode()
-        path.write_bytes(b"\n".join(lines) + b"\n")
-        with pytest.raises(StoreError, match="corrupt WAL record"):
-            DeltaLog(path).replay()
 
     def test_truncate_through_keeps_tail_and_sequence(self, tmp_path):
         path = tmp_path / "t.jsonl"
