@@ -40,6 +40,7 @@ from repro.monitor.summaries import compute_summary, encode_spec
 from repro.obs import metrics as _obs
 from repro.obs import tracing as _tracing
 from repro.service.session import ExplainerSession, jsonable
+from repro.utils.exceptions import DegradedError
 
 _MONITOR_REFRESHES = _obs.get_registry().counter(
     "repro_monitor_refreshes_total", "Monitor summary refreshes computed."
@@ -129,32 +130,20 @@ class MonitorSet:
 
     # -- the dispatch-lane handler -----------------------------------------
 
-    def handle(self, commands: list) -> list:
-        """Micro-batcher handler: one result per ``(op, arg)`` command.
-
-        Multiple ``refresh`` commands coalesced into one batch evaluate
-        once and share the result — the lane cannot have applied new
-        deltas between them.
-        """
-        results = []
-        refreshed: dict | None = None
-        for op, arg in commands:
-            if op == "add":
-                refreshed = None  # a new monitor invalidates the shared result
-                results.append(self._add(arg))
-            elif op == "list":
-                results.append(self._list())
-            elif op == "get":
-                results.append(self._describe(self._monitors[arg]))
-            elif op == "remove":
-                results.append(self._remove(arg))
-            elif op == "refresh":
-                if refreshed is None:
-                    refreshed = self._refresh()
-                results.append(refreshed)
-            else:
-                raise ValueError(f"unknown monitor command {op!r}")
-        return results
+    def handle(self, command: tuple[str, Any]) -> dict:
+        """Micro-batcher handler: run one ``(op, arg)`` command."""
+        op, arg = command
+        if op == "add":
+            return self._add(arg)
+        if op == "list":
+            return self._list()
+        if op == "get":
+            return self._describe(self._monitors[arg])
+        if op == "remove":
+            return self._remove(arg)
+        if op == "refresh":
+            return self._refresh()
+        raise ValueError(f"unknown monitor command {op!r}")
 
     # -- command implementations (dispatch lane only) ----------------------
 
@@ -254,6 +243,7 @@ class MonitorSet:
             "failed": 0,
             "alerts": 0,
         }
+        degraded: DegradedError | None = None
         for state in self._monitors.values():
             if position <= state["cursor"]:
                 continue  # nothing new past this monitor's cursor
@@ -265,10 +255,8 @@ class MonitorSet:
                 _faults.inject("monitor.refresh")
                 summary = compute_summary(lewis, state["spec"])
             except Exception as exc:  # noqa: BLE001 - isolate per monitor
-                self._refresh_failures += 1
-                _MONITOR_REFRESH_FAILURES.inc()
-                out["failed"] += 1
-                self._emit_refresh_failure(state, exc)
+                failure = self._refresh_failed(state, exc, out)
+                degraded = degraded or failure
                 continue
             if log is not None and not log.cursor_valid(state["cursor"]):
                 # A checkpoint compacted the cursor's range away. The
@@ -292,64 +280,72 @@ class MonitorSet:
                 for detector in state["detectors"]:
                     fired = detector.update(value, baseline)
                     if fired is not None:
-                        self._emit(state, detector, metric, value, baseline, fired)
+                        magnitude, direction = fired
+                        states = {
+                            d.name: d.export_state() for d in state["detectors"]
+                        }
+                        self._emit(
+                            state, detector.name, value, baseline, magnitude,
+                            direction, {"states": states},
+                        )
                         out["alerts"] += 1
             except Exception as exc:  # noqa: BLE001 - isolate per monitor
-                self._refresh_failures += 1
-                _MONITOR_REFRESH_FAILURES.inc()
-                out["failed"] += 1
-                self._emit_refresh_failure(state, exc)
+                failure = self._refresh_failed(state, exc, out)
+                degraded = degraded or failure
+        if degraded is not None:
+            # Every monitor was attempted; the journal's own error (503)
+            # then reports that their alerts could not be made durable.
+            raise degraded
         return out
 
-    def _emit_refresh_failure(self, state: dict, exc: Exception) -> None:
-        """Surface a contained per-monitor refresh failure as an alert.
+    def _refresh_failed(
+        self, state: dict, exc: Exception, out: dict
+    ) -> DegradedError | None:
+        """Count a contained per-monitor failure and surface it as an alert.
 
         Typed like any drift alert so ``watch`` clients and the journal
         see it, with ``detector="refresh_failure"`` / ``direction=
         "error"`` marking it as operational rather than statistical.
+        Returns the journal's :class:`DegradedError` instead of raising
+        it, so the refresh loop goes on to the next monitor.
         """
+        self._refresh_failures += 1
+        _MONITOR_REFRESH_FAILURES.inc()
+        out["failed"] += 1
+        if isinstance(exc, DegradedError):
+            return exc  # a failed journal append cannot journal its alert
         metric = state["spec"]["metric"]
-        alert = Alert(
-            monitor_id=state["id"],
-            detector="refresh_failure",
-            metric=metric,
-            value=0.0,
-            baseline=float(state["baseline"].get(metric, 0.0)),
-            magnitude=0.0,
-            direction="error",
-            wal_seq=state["cursor"],
-            table_version=int(self._session.table_version),
-        )
-        state["alerts"] += 1
-        _MONITOR_ALERTS.inc()
-        if self._journal is not None:
-            data = {
-                "alert": alert.to_json(),
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-            request_id = _tracing.current_trace_id()
-            if request_id is not None:
-                data["request_id"] = request_id
-            self._journal.append("alert", data)
-        with self._cond:
-            self._alert_seq += 1
-            self._alerts.append((self._alert_seq, alert))
-            self._cond.notify_all()
+        baseline = float(state["baseline"].get(metric, 0.0))
+        try:
+            self._emit(
+                state, "refresh_failure", 0.0, baseline, 0.0, "error",
+                {"error": f"{type(exc).__name__}: {exc}"},
+            )
+        except DegradedError as journal_exc:
+            return journal_exc
+        return None
 
     def _emit(
         self,
         state: dict,
-        detector,
-        metric: str,
+        detector: str,
         value: float,
         baseline: float,
-        fired: tuple[float, str],
+        magnitude: float,
+        direction: str,
+        extra: Mapping[str, Any],
     ) -> None:
-        magnitude, direction = fired
+        """Journal an alert, then count it and wake watchers.
+
+        Journal before exposing: when the append fails (a degraded
+        journal raises :class:`DegradedError`) the alert reaches neither
+        the counters nor the ring, so ``alerts`` and ``alerts_total``
+        never count an alert that recovery would not replay.
+        """
         alert = Alert(
             monitor_id=state["id"],
-            detector=detector.name,
-            metric=metric,
+            detector=detector,
+            metric=state["spec"]["metric"],
             value=value,
             baseline=baseline,
             magnitude=magnitude,
@@ -357,21 +353,16 @@ class MonitorSet:
             wal_seq=state["cursor"],
             table_version=int(self._session.table_version),
         )
-        state["alerts"] += 1
-        _MONITOR_ALERTS.inc()
         if self._journal is not None:
-            data = {
-                "alert": alert.to_json(),
-                "states": {
-                    d.name: d.export_state() for d in state["detectors"]
-                },
-            }
+            data = {"alert": alert.to_json(), **extra}
             # The update that triggered the alert, when the refresh ran
             # inside a traced request (dispatch-lane notify path).
             request_id = _tracing.current_trace_id()
             if request_id is not None:
                 data["request_id"] = request_id
             self._journal.append("alert", data)
+        state["alerts"] += 1
+        _MONITOR_ALERTS.inc()
         with self._cond:
             self._alert_seq += 1
             self._alerts.append((self._alert_seq, alert))

@@ -1,21 +1,19 @@
-"""Micro-batching request dispatcher for the explanation service.
+"""Single-lane request dispatcher for the explanation service.
 
-Under concurrent traffic, many in-flight requests reduce to the same
-vectorized engine primitives: N score requests sharing a context are one
-``ScoreEstimator.scores_batch`` call, N bounds requests one
-``bounds_batch`` call, and a burst of local explanations shares the
-lazily fitted per-attribute regression models.  :class:`MicroBatcher`
-exploits this: callers submit ``(kind, payload)`` work items and block
-on a future; a single dispatch thread drains the queue in short windows
-and hands each kind's batch to its registered handler in one call, so K
-concurrent requests cost one batched engine pass instead of K scalar
-passes.
+Every engine access of a session runs on one dispatch thread: callers
+submit ``(kind, payload)`` work items and block on a future, and
+:class:`MicroBatcher` hands each queued item to its registered handler
+by itself, under the caller's own trace context and deadline.  One lane
+is what makes a session thread-safe without a global lock — reads and
+writes serialize through it — and it is where load is shed: the queue is
+bounded, and an item whose deadline passed while queued fails fast
+instead of being computed.
 
-The batcher is deliberately generic — handlers are plain
-``handler(payloads: list) -> list`` callables registered by the session
-— so it is testable without a model and reusable for new request kinds.
-``flush()`` drains synchronously for deterministic single-threaded use
-(the batcher never *requires* its background thread).
+Handlers are plain ``handler(payload) -> result`` callables registered
+by the session, so the dispatcher is testable without a model and
+reusable for new request kinds.  ``flush()`` drains synchronously for
+deterministic single-threaded use (the dispatcher never *requires* its
+background thread).
 """
 
 from __future__ import annotations
@@ -45,12 +43,12 @@ DEFAULT_MAX_QUEUE = 1024
 _obs.get_registry().declare(
     "repro_batcher_queue_wait_seconds",
     "histogram",
-    "Time a request spent queued before its batch dispatched.",
+    "Time a request spent queued before its handler ran.",
 )
 _obs.get_registry().declare(
     "repro_batcher_compute_seconds",
     "histogram",
-    "Handler wall time for one dispatched batch.",
+    "Handler wall time for one dispatched request.",
 )
 _obs.get_registry().declare(
     "repro_batcher_requests_total",
@@ -59,7 +57,7 @@ _obs.get_registry().declare(
 )
 _BATCHES_TOTAL = _obs.get_registry().counter(
     "repro_batcher_batches_total",
-    "Dispatch rounds executed by the micro-batcher.",
+    "Handler calls executed by the micro-batcher.",
 )
 _SHED_TOTAL = _obs.get_registry().counter(
     "repro_batcher_shed_total",
@@ -95,18 +93,13 @@ def _kind_instruments(kind: str) -> tuple:
 
 
 class MicroBatcher:
-    """Coalesces concurrent requests into batched handler calls.
+    """Runs queued requests one at a time on a single dispatch lane.
 
     Parameters
     ----------
     handlers:
-        ``{kind: handler}`` where ``handler(payloads) -> results`` maps a
-        batch of payloads to results aligned with the input order.
-    window:
-        Seconds the dispatch thread waits, after the first item of a
-        batch arrives, for more items to coalesce.
-    max_batch:
-        Largest number of requests drained into one dispatch round.
+        ``{kind: handler}`` where ``handler(payload) -> result`` answers
+        one request.
     start:
         Start the background dispatch thread immediately. With
         ``start=False`` the batcher runs in synchronous mode: callers
@@ -123,19 +116,13 @@ class MicroBatcher:
 
     def __init__(
         self,
-        handlers: Mapping[str, Callable[[list], list]],
-        window: float = 0.002,
-        max_batch: int = 64,
+        handlers: Mapping[str, Callable[[Any], Any]],
         start: bool = True,
         max_queue: int | None = None,
     ):
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be positive, got {max_batch}")
         if max_queue is None:
             max_queue = int(os.environ.get("REPRO_MAX_QUEUE", DEFAULT_MAX_QUEUE))
         self._handlers = dict(handlers)
-        self._window = float(window)
-        self._max_batch = int(max_batch)
         self._max_queue = int(max_queue)
         self._queue: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
@@ -143,7 +130,6 @@ class MicroBatcher:
         self._closed = False
         self._requests = 0
         self._batches = 0
-        self._largest_batch = 0
         self._shed = 0
         self._expired = 0
         self._thread: threading.Thread | None = None
@@ -182,7 +168,7 @@ class MicroBatcher:
 
     # -- registration ------------------------------------------------------
 
-    def register(self, kind: str, handler: Callable[[list], list]) -> None:
+    def register(self, kind: str, handler: Callable[[Any], Any]) -> None:
         """Register (or replace) a handler after construction.
 
         Lets optional subsystems — e.g. the monitor scheduler — route
@@ -195,7 +181,7 @@ class MicroBatcher:
     # -- submission --------------------------------------------------------
 
     def submit(self, kind: str, payload: Any) -> Future:
-        """Enqueue one request; the future resolves after its batch runs.
+        """Enqueue one request; the future resolves after its handler runs.
 
         Raises :class:`OverloadedError` (without enqueueing) when the
         bounded queue is already full — load shedding happens here, at
@@ -232,9 +218,8 @@ class MicroBatcher:
     def run(self, kind: str, payload: Any) -> Any:
         """Submit and wait — the synchronous convenience path.
 
-        In background mode the wait is where coalescing happens: while
-        this caller blocks, other threads' requests join the same batch.
-        In synchronous mode (no thread) the queue is flushed inline.
+        In background mode the dispatch thread serves the request; in
+        synchronous mode (no thread) the queue is flushed inline.
         """
         future = self.submit(kind, payload)
         if self._thread is None:
@@ -256,133 +241,70 @@ class MicroBatcher:
         served = 0
         with self._flush_lock:
             while True:
-                batch = self._drain(block=False)
-                if not batch:
-                    return served
-                self._dispatch(batch)
-                served += len(batch)
-
-    def _drain(self, block: bool) -> list[_Item]:
-        """Collect up to ``max_batch`` items, waiting ``window`` once."""
-        items: list[_Item] = []
-        try:
-            first = self._queue.get(block=block)
-        except queue.Empty:
-            return items
-        if first is None:
-            return items
-        items.append(first)
-        # One coalescing window per batch: once the first item arrives,
-        # wait up to ``window`` total for stragglers, then serve.
-        deadline = time.monotonic() + self._window
-        while len(items) < self._max_batch:
-            remaining = deadline - time.monotonic()
-            try:
-                if remaining > 0:
-                    item = self._queue.get(timeout=remaining)
-                else:
+                try:
                     item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is None:
-                break
-            items.append(item)
-        return items
+                except queue.Empty:
+                    return served
+                if item is not None:  # skip close()'s wake-up sentinel
+                    self._dispatch(item)
+                    served += 1
 
-    def _dispatch(self, items: list[_Item]) -> None:
+    def _dispatch(self, item: _Item) -> None:
+        """Run one queued request and resolve only its own future."""
+        kind, payload, future, enqueued, ctx, item_deadline = item
         observing = _obs.enabled()
-        drained = time.perf_counter()
-        now = time.monotonic()
-        groups: dict[str, list[tuple[Any, Future, dict | None, float | None]]] = {}
-        for kind, payload, future, enqueued, ctx, item_deadline in items:
-            if item_deadline is not None and now >= item_deadline:
-                # the deadline passed while the item sat in queue: fail
-                # fast rather than compute an answer nobody is awaiting
-                self._expired += 1
-                if observing:
-                    _EXPIRED_TOTAL.inc()
-                future.set_exception(
-                    DeadlineExceededError(
-                        f"deadline expired while queued (kind {kind!r})"
-                    )
-                )
-                continue
-            groups.setdefault(kind, []).append((payload, future, ctx, item_deadline))
+        self._requests += 1
+        if item_deadline is not None and time.monotonic() >= item_deadline:
+            # the deadline passed while the item sat in queue: fail fast
+            # rather than compute an answer nobody is awaiting
+            self._expired += 1
             if observing:
-                wait = drained - enqueued
-                _kind_instruments(kind)[0].observe(wait)
-                _tracing.record_span(
-                    ctx, "queue_wait", wait * 1e3, tags={"kind": kind}
-                )
-        for kind, entries in groups.items():
-            payloads = [p for p, _f, _c, _d in entries]
-            # Re-enter the first caller's trace so spans opened inside the
-            # handler (solver chunks, WAL fsync) land in a real trace; the
-            # other callers of the batch get a replayed ``compute`` span.
-            lead_ctx = next((c for _p, _f, c, _d in entries if c is not None), None)
-            # The handler computes for the whole group, so it runs under
-            # the group's most generous deadline: aborting at the tightest
-            # would fail co-batched requests that still have budget, and
-            # any item without a deadline means the group has none.
-            deadlines = [d for _p, _f, _c, d in entries]
-            group_deadline = (
-                max(deadlines) if all(d is not None for d in deadlines) else None
+                _EXPIRED_TOTAL.inc()
+            future.set_exception(
+                DeadlineExceededError(f"deadline expired while queued (kind {kind!r})")
             )
-            compute_started = time.perf_counter()
-            token = _deadline.attach(group_deadline)
-            try:
-                with _tracing.attach(lead_ctx):
-                    results = self._handlers[kind](payloads)
-                if len(results) != len(payloads):
-                    raise RuntimeError(
-                        f"handler {kind!r} returned {len(results)} results "
-                        f"for {len(payloads)} payloads"
-                    )
-            except BaseException as exc:  # propagate to every waiter
-                for _payload, future, _ctx, _d in entries:
-                    future.set_exception(exc)
-                continue
-            finally:
-                _deadline.restore(token)
-                if observing:
-                    compute = time.perf_counter() - compute_started
-                    instruments = _kind_instruments(kind)
-                    instruments[1].observe(compute)
-                    instruments[2].inc(len(entries))
-                    tags = {"kind": kind, "batch_size": len(payloads)}
-                    for _payload, _future, ctx, _d in entries:
-                        _tracing.record_span(ctx, "compute", compute * 1e3, tags=tags)
-            for (_payload, future, _ctx, _d), result in zip(entries, results):
-                future.set_result(result)
+            return
+        started = time.perf_counter()
         if observing:
-            _BATCHES_TOTAL.inc()
-        self._requests += len(items)
+            wait = started - enqueued
+            _kind_instruments(kind)[0].observe(wait)
+            _tracing.record_span(ctx, "queue_wait", wait * 1e3, tags={"kind": kind})
+        # The handler runs under the caller's trace and deadline, so its
+        # spans (solver chunks, WAL fsync) nest under this request's
+        # ``compute`` span; span and metrics land before the future
+        # resolves, so the waiter always sees them.
+        token = _deadline.attach(item_deadline)
+        try:
+            with _tracing.attach(ctx), _tracing.span("compute", tags={"kind": kind}):
+                result, error = self._handlers[kind](payload), None
+        except BaseException as exc:  # reaches this request's waiter only
+            result, error = None, exc
+        finally:
+            _deadline.restore(token)
         self._batches += 1
-        self._largest_batch = max(self._largest_batch, len(items))
+        if observing:
+            instruments = _kind_instruments(kind)
+            instruments[1].observe(time.perf_counter() - started)
+            instruments[2].inc()
+            _BATCHES_TOTAL.inc()
+        if error is not None:
+            future.set_exception(error)
+        else:
+            future.set_result(result)
 
     def _run(self) -> None:
-        while True:
-            with self._lock:
-                if self._closed:
-                    return
-            batch = self._drain(block=True)
-            if batch:
-                self._dispatch(batch)
-            with self._lock:
-                if self._closed:
-                    return
+        while not self._closed:
+            item = self._queue.get()
+            if item is not None:
+                self._dispatch(item)
 
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> dict:
-        """Dispatch counters: how well requests coalesced."""
+        """Dispatch counters: requests dequeued, handler calls, shedding."""
         return {
             "requests": self._requests,
             "batches": self._batches,
-            "largest_batch": self._largest_batch,
-            "mean_batch": (self._requests / self._batches) if self._batches else 0.0,
-            "window_s": self._window,
-            "max_batch": self._max_batch,
             "max_queue": self._max_queue,
             "queue_depth": self._queue.qsize(),
             "shed": self._shed,

@@ -2,10 +2,9 @@
 
 No framework, no dependency: :class:`http.server.ThreadingHTTPServer`
 plus a request handler that maps JSON bodies onto a session's typed
-request objects.  Because every handler thread funnels engine work into
-the session's micro-batcher, concurrent HTTP requests coalesce into
-batched engine passes while cache hits return without touching the
-engine at all.
+request objects.  Every handler thread funnels engine work into the
+session's micro-batcher, whose single dispatch lane runs one request at
+a time, while cache hits return without touching the engine at all.
 
 The server runs in one of two modes (or both at once):
 

@@ -25,11 +25,11 @@ request object:
 (model fingerprint, table version, canonical query) key hits; misses are
 routed through the session's :class:`~repro.service.scheduler
 .MicroBatcher`, whose single dispatch thread is the only code that
-touches the engine — concurrent requests coalesce into batched engine
-passes *and* the session is thread-safe by construction.  Updates flow
-through the same dispatch lane, so reads and writes serialize without a
-global lock; afterwards only the cache entries keyed to superseded table
-versions are purged.
+touches the engine and answers one request per handler call, so the
+session is thread-safe by construction.  Updates flow through the same
+dispatch lane, so reads and writes serialize without a global lock;
+afterwards only the cache entries keyed to superseded table versions are
+purged.
 """
 
 from __future__ import annotations
@@ -360,13 +360,6 @@ def _session_collector(ref: "weakref.ref[ExplainerSession]"):
         samples[_obs.full_name("repro_session_table_version", labels)] = float(
             session.table_version
         )
-        batcher = session._batcher.stats()
-        samples[_obs.full_name("repro_batcher_largest_batch", labels)] = float(
-            batcher["largest_batch"]
-        )
-        samples[_obs.full_name("repro_batcher_mean_batch", labels)] = float(
-            batcher["mean_batch"]
-        )
         for name, value in session.lewis.solver_stats().items():
             samples[
                 _obs.full_name(f"repro_solver_{name}", labels)
@@ -443,13 +436,12 @@ class ExplainerSession:
         do not name one (typically the dataset bundle's actionable list).
     background:
         Start the micro-batcher's dispatch thread. ``True`` for servers
-        (concurrent requests coalesce into batched engine passes);
-        ``False`` embeds the session single-threaded and dispatches
-        inline — results are identical.
-    batch_window / max_batch / max_queue:
-        Coalescing and load-shedding knobs forwarded to
-        :class:`MicroBatcher`; ``max_queue=None`` defers to the
-        ``REPRO_MAX_QUEUE`` environment variable.
+        (concurrent callers share the one dispatch lane); ``False``
+        embeds the session single-threaded and dispatches inline —
+        results are identical.
+    max_queue:
+        Load-shedding bound forwarded to :class:`MicroBatcher`;
+        ``None`` defers to the ``REPRO_MAX_QUEUE`` environment variable.
     tenant:
         Registry name this session serves under. Scopes every cache key,
         so tenants sharing a :class:`ResultCache` — even ones serving an
@@ -463,8 +455,6 @@ class ExplainerSession:
         cache: ResultCache | None = None,
         default_actionable: Sequence[str] | None = None,
         background: bool = False,
-        batch_window: float = 0.002,
-        max_batch: int = 64,
         max_queue: int | None = None,
         tenant: str = "",
     ):
@@ -486,18 +476,16 @@ class ExplainerSession:
         self._served = 0
         self._batcher = MicroBatcher(
             {
-                "explain_global": self._do_globals,
-                "explain_context": self._do_contexts,
-                "explain_local": self._do_locals,
-                "explain_local_batch": self._do_local_batches,
-                "recourse": self._do_recourses,
-                "recourse_batch": self._do_recourse_batches,
-                "audit": self._do_audits,
+                "explain_global": self._do_global,
+                "explain_context": self._do_context,
+                "explain_local": self._do_local,
+                "explain_local_batch": self._do_local_batch,
+                "recourse": self._do_recourse,
+                "recourse_batch": self._do_recourse_batch,
+                "audit": self._do_audit,
                 "scores": self._do_scores,
-                "update": self._do_updates,
+                "update": self._do_update,
             },
-            window=batch_window,
-            max_batch=max_batch,
             max_queue=max_queue,
             start=background,
         )
@@ -549,7 +537,7 @@ class ExplainerSession:
         """Advance the state chain by one applied delta (O(|delta|)).
 
         Runs on the batcher's dispatch lane immediately after the delta
-        is applied (see :meth:`_do_updates`), so every explanation
+        is applied (see :meth:`_do_update`), so every explanation
         computed after the update observes the advanced token — a
         concurrent reader can never cache a post-update result under the
         pre-update key.  The read-modify-write itself is guarded by the
@@ -716,64 +704,45 @@ class ExplainerSession:
             out[name] = column.categories[self._code_of(column, value)]
         return out
 
-    # -- batched handlers (run on the dispatch lane) -------------------------
+    # -- handlers (run on the dispatch lane, one request each) -------------
 
-    def _do_globals(self, requests: list[GlobalExplainRequest]) -> list[dict]:
-        return [
-            global_explanation_to_dict(
-                self.lewis.explain_global(
-                    attributes=list(r.attributes) if r.attributes else None,
-                    max_pairs_per_attribute=r.max_pairs_per_attribute,
-                )
+    def _do_global(self, r: GlobalExplainRequest) -> dict:
+        return global_explanation_to_dict(
+            self.lewis.explain_global(
+                attributes=list(r.attributes) if r.attributes else None,
+                max_pairs_per_attribute=r.max_pairs_per_attribute,
             )
-            for r in requests
-        ]
+        )
 
-    def _do_contexts(self, requests: list[ContextExplainRequest]) -> list[dict]:
-        return [
-            global_explanation_to_dict(
-                self.lewis.explain_context(
-                    self._encode(r.context),
-                    attributes=list(r.attributes) if r.attributes else None,
-                    max_pairs_per_attribute=r.max_pairs_per_attribute,
-                )
+    def _do_context(self, r: ContextExplainRequest) -> dict:
+        return global_explanation_to_dict(
+            self.lewis.explain_context(
+                self._encode(r.context),
+                attributes=list(r.attributes) if r.attributes else None,
+                max_pairs_per_attribute=r.max_pairs_per_attribute,
             )
-            for r in requests
-        ]
+        )
 
-    def _do_locals(self, requests: list[LocalExplainRequest]) -> list[dict]:
-        # One dispatch pass shares the lazily fitted per-attribute local
-        # models across the whole batch (they are cached per feature set).
-        out = []
-        for r in requests:
-            explanation = self.lewis.explain_local(
+    def _do_local(self, r: LocalExplainRequest) -> dict:
+        return local_explanation_to_dict(
+            self.lewis.explain_local(
                 index=r.index,
                 individual=self._encode(r.individual) if r.individual else None,
                 attributes=list(r.attributes) if r.attributes else None,
             )
-            out.append(local_explanation_to_dict(explanation))
-        return out
+        )
 
-    def _do_local_batches(
-        self, requests: list[LocalExplainBatchRequest]
-    ) -> list[dict]:
+    def _do_local_batch(self, r: LocalExplainBatchRequest) -> dict:
         # The whole cohort's regression probes are deduplicated and
         # answered in one matrix pass per attribute group.
-        out = []
-        for r in requests:
-            explanations = self.lewis.explain_local_batch(
-                list(r.indices),
-                attributes=list(r.attributes) if r.attributes else None,
-            )
-            out.append(
-                {
-                    "indices": [int(i) for i in r.indices],
-                    "explanations": [
-                        local_explanation_to_dict(e) for e in explanations
-                    ],
-                }
-            )
-        return out
+        explanations = self.lewis.explain_local_batch(
+            list(r.indices),
+            attributes=list(r.attributes) if r.attributes else None,
+        )
+        return {
+            "indices": [int(i) for i in r.indices],
+            "explanations": [local_explanation_to_dict(e) for e in explanations],
+        }
 
     def _actionable_for(self, requested) -> list[str]:
         actionable = list(requested) if requested else self.default_actionable
@@ -784,123 +753,86 @@ class ExplainerSession:
             )
         return actionable
 
-    def _do_recourses(self, requests: list[RecourseRequest]) -> list[dict]:
-        out = []
-        for r in requests:
-            actionable = self._actionable_for(r.actionable)
-            out.append(
-                recourse_to_dict(
-                    self.lewis.recourse(
-                        r.index, actionable=actionable, alpha=r.alpha, mode=r.mode
-                    )
-                )
+    def _do_recourse(self, r: RecourseRequest) -> dict:
+        return recourse_to_dict(
+            self.lewis.recourse(
+                r.index,
+                actionable=self._actionable_for(r.actionable),
+                alpha=r.alpha,
+                mode=r.mode,
             )
-        return out
+        )
 
-    def _do_recourse_batches(
-        self, requests: list[RecourseBatchRequest]
-    ) -> list[dict]:
+    def _do_recourse_batch(self, r: RecourseBatchRequest) -> dict:
         # One logit matrix pass for base probabilities, one warm-started
         # signature solve per distinct (current codes, context) signature;
         # r.workers > 1 spreads unsolved signatures over a process pool.
-        out = []
-        for r in requests:
-            actionable = self._actionable_for(r.actionable)
-            mode = r.mode
-            degraded = False
-            if mode == "exact":
-                # Degradation ladder: with the request deadline nearly
-                # spent, an exact cohort solve would blow it — fall back
-                # to the certified anytime mode and *label* the answer,
-                # so a 200 is never silently weaker than what was asked.
-                remaining = _deadline.remaining_s()
-                floor_s = float(os.environ.get("REPRO_ANYTIME_MS", "250")) / 1e3
-                if remaining is not None and remaining < floor_s:
-                    mode = "anytime"
-                    degraded = True
-            audit = self.lewis.recourse_audit(
-                actionable,
-                alpha=r.alpha,
-                indices=list(r.indices) if r.indices is not None else None,
-                workers=r.workers,
-                mode=mode,
-            )
-            if degraded:
-                audit["degraded"] = True
-                audit["degraded_reason"] = "deadline"
-            recourses = audit.pop("recourses")
-            audit["recourses"] = [
-                recourse_to_dict(x) if x is not None else None
-                for x in recourses
-            ]
-            out.append(jsonable(audit))
-        return out
+        actionable = self._actionable_for(r.actionable)
+        mode = r.mode
+        degraded = False
+        if mode == "exact":
+            # Degradation ladder: with the request deadline nearly spent,
+            # an exact cohort solve would blow it — fall back to the
+            # certified anytime mode and *label* the answer, so a 200 is
+            # never silently weaker than what was asked.
+            remaining = _deadline.remaining_s()
+            floor_s = float(os.environ.get("REPRO_ANYTIME_MS", "250")) / 1e3
+            if remaining is not None and remaining < floor_s:
+                mode = "anytime"
+                degraded = True
+        audit = self.lewis.recourse_audit(
+            actionable,
+            alpha=r.alpha,
+            indices=list(r.indices) if r.indices is not None else None,
+            workers=r.workers,
+            mode=mode,
+        )
+        if degraded:
+            audit["degraded"] = True
+            audit["degraded_reason"] = "deadline"
+        audit["recourses"] = [
+            recourse_to_dict(x) if x is not None else None
+            for x in audit.pop("recourses")
+        ]
+        return jsonable(audit)
 
-    def _do_audits(self, requests: list[AuditRequest]) -> list[dict]:
-        out = []
-        for r in requests:
-            protected = list(r.protected) if r.protected else [
-                name
-                for name in ("sex", "race", "gender")
-                if name in self.lewis.data
-            ]
-            if not protected:
-                raise ValueError(
-                    "no protected attributes found; pass AuditRequest.protected"
-                )
-            auditor = FairnessAuditor(self.lewis, tolerance=r.tolerance)
-            out.append(
-                {"verdicts": [verdict_to_dict(v) for v in auditor.audit_all(protected)]}
+    def _do_audit(self, r: AuditRequest) -> dict:
+        protected = list(r.protected) if r.protected else [
+            name for name in ("sex", "race", "gender") if name in self.lewis.data
+        ]
+        if not protected:
+            raise ValueError(
+                "no protected attributes found; pass AuditRequest.protected"
             )
-        return out
+        auditor = FairnessAuditor(self.lewis, tolerance=r.tolerance)
+        return {"verdicts": [verdict_to_dict(v) for v in auditor.audit_all(protected)]}
 
-    def _do_scores(self, requests: list[ScoresRequest]) -> list[dict]:
-        # Requests sharing a context collapse into one scores_batch pass —
-        # the coalescing the micro-batcher exists for.
-        groups: dict[tuple, list[int]] = {}
-        encoded: list[tuple[list, dict]] = []
-        for i, r in enumerate(requests):
-            contrasts = [
-                (self._encode(values), self._encode(baselines))
-                for values, baselines in r.contrasts
-            ]
-            context = self._encode(r.context)
-            encoded.append((contrasts, context))
-            groups.setdefault(tuple(sorted(context.items())), []).append(i)
-        out: list[dict] = [{} for _ in requests]
-        for indices in groups.values():
-            flat: list = []
-            owners: list[tuple[int, int]] = []
-            context = encoded[indices[0]][1]
-            for i in indices:
-                for j, contrast in enumerate(encoded[i][0]):
-                    flat.append(contrast)
-                    owners.append((i, j))
-            triples = self.lewis.scores_batch(flat, context)
-            per_request: dict[int, list] = {i: [] for i in indices}
-            for (i, _j), triple in zip(owners, triples):
-                per_request[i].append(jsonable(triple.as_dict()))
-            for i in indices:
-                out[i] = {"context": jsonable(context), "scores": per_request[i]}
-        return out
+    def _do_scores(self, r: ScoresRequest) -> dict:
+        # All of one request's contrasts share its context: one
+        # scores_batch engine pass answers them together.
+        contrasts = [
+            (self._encode(values), self._encode(baselines))
+            for values, baselines in r.contrasts
+        ]
+        context = self._encode(r.context)
+        triples = self.lewis.scores_batch(contrasts, context)
+        return {
+            "context": jsonable(context),
+            "scores": [jsonable(t.as_dict()) for t in triples],
+        }
 
-    def _do_updates(self, requests: list[UpdateRequest]) -> list[dict]:
-        out = []
-        for r in requests:
-            before = len(self.lewis.data)
-            version = apply_delta(self.lewis, r.delta)
-            if not r.delta.is_empty:
-                self._advance_state(r.delta)
-            out.append(
-                {
-                    "version": version,
-                    "n_rows": len(self.lewis.data),
-                    "inserted": len(r.delta.insert),
-                    "deleted": len(r.delta.delete),
-                    "rows_before": before,
-                }
-            )
-        return out
+    def _do_update(self, r: UpdateRequest) -> dict:
+        before = len(self.lewis.data)
+        version = apply_delta(self.lewis, r.delta)
+        if not r.delta.is_empty:
+            self._advance_state(r.delta)
+        return {
+            "version": version,
+            "n_rows": len(self.lewis.data),
+            "inserted": len(r.delta.insert),
+            "deleted": len(r.delta.delete),
+            "rows_before": before,
+        }
 
     # -- introspection -----------------------------------------------------
 

@@ -22,7 +22,9 @@ import repro.faults as faults
 from repro import fit_table_model
 from repro.core.lewis import Lewis
 from repro.data.table import Table
+from repro.monitor import MonitorSet
 from repro.monitor.journal import MonitorJournal
+from repro.service import ExplainerSession
 from repro.service.server import create_server
 from repro.store import Registry
 from repro.utils.exceptions import DegradedError
@@ -77,6 +79,34 @@ def make_lewis(n: int = 150) -> Lewis:
         positive_outcome=1,
         infer_orderings=False,
     )
+
+
+def test_refresh_with_degraded_journal_attempts_every_monitor(tmp_path):
+    journal = MonitorJournal(tmp_path / "monitors.jsonl")
+    with ExplainerSession(make_lewis()) as session:
+        monitors = MonitorSet(session, journal=journal)
+        spec = {
+            "kind": "score",
+            "params": {"attribute": "a", "value": 2, "baseline": 0},
+            "threshold": 0.05,
+        }
+        ids = [monitors.add(spec)["id"] for _ in range(2)]
+        session.update(ROW)
+
+        # Both refreshes fail; the first failure alert's journal append
+        # then degrades the journal, so neither alert can be made durable.
+        with faults.plan(
+            {"journal.append.fsync": {"once": True}, "monitor.refresh": {}}
+        ):
+            with pytest.raises(DegradedError):
+                monitors.refresh()
+
+        stats = monitors.stats()
+        assert stats["refresh_failures"] == 2  # the second was attempted too
+        assert stats["alerts_total"] == 0
+        assert [monitors.get(m)["alerts"] for m in ids] == [0, 0]
+        assert monitors.watch(cursor=0, timeout=0)["alerts"] == []
+        monitors.close()
 
 
 @pytest.fixture()

@@ -1,16 +1,15 @@
-"""Unit tests for the micro-batching request dispatcher."""
+"""Unit tests for the single-lane request dispatcher."""
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
+from repro.obs import tracing
 from repro.service.scheduler import MicroBatcher
 
 
-def echo_handler(payloads):
-    return [("echo", p) for p in payloads]
+def echo_handler(payload):
+    return ("echo", payload)
 
 
 class TestSynchronousMode:
@@ -19,79 +18,59 @@ class TestSynchronousMode:
         assert batcher.run("echo", 1) == ("echo", 1)
         assert batcher.stats()["requests"] == 1
 
-    def test_flush_serves_pending_futures_in_one_batch(self):
-        batcher = MicroBatcher({"echo": echo_handler}, start=False)
+    def test_flush_serves_each_pending_future_with_one_call(self):
+        calls: list = []
+
+        def handler(payload):
+            calls.append(payload)
+            return ("echo", payload)
+
+        batcher = MicroBatcher({"echo": handler}, start=False)
         futures = [batcher.submit("echo", i) for i in range(5)]
         served = batcher.flush()
         assert served == 5
         assert [f.result(timeout=1) for f in futures] == [("echo", i) for i in range(5)]
-        assert batcher.stats()["batches"] == 1
-        assert batcher.stats()["largest_batch"] == 5
+        assert calls == list(range(5))
+        assert batcher.stats()["batches"] == 5
 
     def test_unknown_kind_rejected(self):
         batcher = MicroBatcher({"echo": echo_handler}, start=False)
         with pytest.raises(KeyError):
             batcher.submit("nope", 1)
 
-    def test_handler_exception_propagates_to_all_waiters(self):
-        def boom(payloads):
-            raise RuntimeError("broken handler")
+    def test_handler_exception_reaches_only_its_own_future(self):
+        def fussy(payload):
+            if payload == "bad":
+                raise RuntimeError("broken request")
+            return ("fussy", payload)
 
-        batcher = MicroBatcher({"boom": boom, "echo": echo_handler}, start=False)
-        bad = [batcher.submit("boom", i) for i in range(3)]
-        good = batcher.submit("echo", "fine")
+        batcher = MicroBatcher({"fussy": fussy, "echo": echo_handler}, start=False)
+        before = batcher.submit("fussy", "ok-1")
+        bad = batcher.submit("fussy", "bad")
+        after = batcher.submit("fussy", "ok-2")
+        other = batcher.submit("echo", "fine")
         batcher.flush()
-        for future in bad:
-            with pytest.raises(RuntimeError, match="broken handler"):
-                future.result(timeout=1)
-        assert good.result(timeout=1) == ("echo", "fine")
+        with pytest.raises(RuntimeError, match="broken request"):
+            bad.result(timeout=1)
+        assert before.result(timeout=1) == ("fussy", "ok-1")
+        assert after.result(timeout=1) == ("fussy", "ok-2")
+        assert other.result(timeout=1) == ("echo", "fine")
 
-    def test_misaligned_handler_output_is_an_error(self):
-        batcher = MicroBatcher({"short": lambda ps: []}, start=False)
-        future = batcher.submit("short", 1)
-        batcher.flush()
-        with pytest.raises(RuntimeError, match="results"):
-            future.result(timeout=1)
-
-    def test_max_batch_splits_rounds(self):
-        batcher = MicroBatcher({"echo": echo_handler}, max_batch=2, start=False)
-        futures = [batcher.submit("echo", i) for i in range(5)]
-        batcher.flush()
-        assert all(f.result(timeout=1)[1] == i for i, f in enumerate(futures))
-        assert batcher.stats()["batches"] == 3
-        assert batcher.stats()["largest_batch"] == 2
+    def test_each_traced_request_gets_its_own_spans(self):
+        batcher = MicroBatcher({"echo": echo_handler}, start=False)
+        # two requests from two open traces wait in the queue together
+        with tracing.trace("first") as first:
+            batcher.submit("echo", 1)
+            with tracing.trace("second") as second:
+                batcher.submit("echo", 2)
+                assert batcher.flush() == 2
+        for tid in (first, second):
+            names = [s["name"] for s in tracing.get_tracer().get(tid)["spans"]]
+            assert names.count("queue_wait") == 1
+            assert names.count("compute") == 1
 
 
 class TestBackgroundMode:
-    def test_concurrent_submissions_coalesce(self):
-        calls: list[int] = []
-        gate = threading.Event()
-
-        def handler(payloads):
-            calls.append(len(payloads))
-            return payloads
-
-        batcher = MicroBatcher({"echo": handler}, window=0.05, start=True)
-        try:
-            results = [None] * 8
-            gate.set()
-
-            def worker(i):
-                results[i] = batcher.run("echo", i)
-
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=5)
-            assert results == list(range(8))
-            # The 50 ms window must have coalesced at least two requests
-            # into one dispatch round.
-            assert max(calls) >= 2
-            assert batcher.stats()["requests"] == 8
-        finally:
-            batcher.close()
-
     def test_close_is_idempotent_and_flushes(self):
         batcher = MicroBatcher({"echo": echo_handler}, start=True)
         batcher.close()

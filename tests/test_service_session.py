@@ -9,14 +9,20 @@ import pytest
 
 from repro.core.lewis import Lewis
 from repro.data.table import Table
+from repro.monitor import MonitorSet
 from repro.service import (
     ExplainerSession,
     GlobalExplainRequest,
     LocalExplainRequest,
+    RecourseBatchRequest,
+    RecourseRequest,
     ResultCache,
+    ScoresRequest,
     TableDelta,
 )
 from repro.service.session import model_fingerprint
+from repro.utils import deadline
+from repro.utils.exceptions import DomainError
 
 
 def tiny_model(features: Table) -> np.ndarray:
@@ -253,6 +259,79 @@ class TestUpdates:
             TableDelta.from_json({"insert": "nope"})
         with pytest.raises(ValueError, match="delete"):
             TableDelta.from_json({"delete": [1.5]})
+
+
+class TestRequestIsolation:
+    """Each queued request runs alone: a bad neighbour cannot fail it."""
+
+    def _flush_pair(self, session, kind, bad, good):
+        lane = session._batcher
+        bad_future = lane.submit(kind, bad)
+        good_future = lane.submit(kind, good)
+        assert lane.flush() == 2
+        return bad_future, good_future
+
+    def test_bad_local_index_fails_alone(self, session):
+        bad, good = self._flush_pair(
+            session,
+            "explain_local",
+            LocalExplainRequest(index=10**6),
+            LocalExplainRequest(index=5),
+        )
+        with pytest.raises(IndexError):
+            bad.result(timeout=1)
+        assert good.result(timeout=1) == session.explain_local(index=5)["result"]
+
+    def test_bad_recourse_index_fails_alone(self, session):
+        index = int(session.lewis.negative_indices()[0])
+        bad, good = self._flush_pair(
+            session,
+            "recourse",
+            RecourseRequest(index=10**6),
+            RecourseRequest(index=index),
+        )
+        with pytest.raises(IndexError):
+            bad.result(timeout=1)
+        assert good.result(timeout=1) == session.recourse(index)["result"]
+
+    def test_unknown_scores_label_fails_alone(self, session):
+        contrasts = (({"a": 2}, {"a": 0}),)
+        bad, good = self._flush_pair(
+            session,
+            "scores",
+            ScoresRequest(contrasts=(({"a": 7}, {"a": 0}),)),
+            ScoresRequest(contrasts=contrasts),
+        )
+        with pytest.raises(DomainError):
+            bad.result(timeout=1)
+        assert good.result(timeout=1) == session.scores(contrasts)["result"]
+
+    def test_unknown_monitor_get_fails_alone(self, session):
+        monitors = MonitorSet(session)
+        bad, good = self._flush_pair(
+            session, "monitor", ("get", "m404"), ("list", None)
+        )
+        with pytest.raises(KeyError):
+            bad.result(timeout=1)
+        assert good.result(timeout=1) == monitors.list()
+
+
+class TestPerRequestDeadline:
+    def test_each_request_runs_under_its_own_deadline(self, session):
+        # A 150 ms budget is under the anytime floor, so that request
+        # degrades; its queue neighbour has no deadline and stays exact.
+        lane = session._batcher
+        with deadline.scope(150):
+            tight = lane.submit("recourse_batch", RecourseBatchRequest())
+        unbounded = lane.submit("recourse_batch", RecourseBatchRequest())
+        lane.flush()
+        tight, unbounded = tight.result(timeout=5), unbounded.result(timeout=5)
+        assert tight["degraded"] is True
+        assert tight["degraded_reason"] == "deadline"
+        assert "degraded" not in unbounded
+        assert all(
+            r is None or r["mode"] == "exact" for r in unbounded["recourses"]
+        )
 
 
 class TestIntrospection:
