@@ -29,6 +29,8 @@ Quickstart::
     print(lew.explain_global().ranking("sufficiency"))
 """
 
+# first: sets the BLAS thread count, which numpy reads when it loads
+from repro import _blas  # noqa: F401
 from repro.causal import (
     CausalDiagram,
     GroundTruthScores,

@@ -9,9 +9,11 @@ fingerprint pins the model, the session's state token pins the table
 state, and :func:`canonical` makes structurally equal queries (dict
 ordering, list vs tuple, numpy scalars) collide.
 
-Storage is a :class:`~repro.utils.lru.ByteBudgetLRU` sized by each
-response's JSON-encoded byte length, so operators reason about the
-budget in response-payload terms (``--cache-mb`` on the CLI).  A data
+Storage is a :class:`~repro.utils.lru.ByteBudgetLRU` holding each
+response as its compact JSON encoding, so the budget (``--cache-mb`` on
+the CLI) bounds the memory the cached payloads really hold; the object
+tree a response decodes to takes about twice its encoding.  A hit
+decodes a fresh copy: JSON types, the same bytes on the wire.  A data
 update does not clear the cache: :meth:`ResultCache.purge_stale` drops
 only the entries keyed to superseded versions of the updated model/table
 pair and leaves everything else hot.
@@ -45,9 +47,13 @@ def canonical(value: Any) -> Hashable:
     return value
 
 
+def _encode(payload: Any) -> str:
+    return json.dumps(payload, default=str, separators=(",", ":"))
+
+
 def payload_bytes(payload: Any) -> int:
-    """Approximate response size: its JSON encoding length."""
-    return len(json.dumps(payload, default=str, separators=(",", ":")))
+    """Response size: its compact JSON encoding length, as cached."""
+    return len(_encode(payload))
 
 
 class ResultCache:
@@ -95,13 +101,14 @@ class ResultCache:
     def get(self, key: tuple) -> Any:
         """Cached response for ``key`` or ``None`` (counts hit/miss)."""
         with self._lock:
-            return self._lru.get(key)
+            encoded = self._lru.get(key)
+        return None if encoded is None else json.loads(encoded)
 
     def put(self, key: tuple, payload: Any) -> None:
-        """Store a response, sized by its JSON byte length."""
-        size = payload_bytes(payload)
+        """Store a response as its JSON encoding, sized by its length."""
+        encoded = _encode(payload)
         with self._lock:
-            self._lru.put(key, payload, size=size)
+            self._lru.put(key, encoded, size=len(encoded))
 
     def purge_stale(
         self, fingerprint: str, current_state: Any, tenant: str = ""

@@ -80,7 +80,9 @@ the client last saw (read-your-writes across the fleet).
 Client errors (unknown attribute/label, malformed body) return 400 with
 ``{"error": ...}``; unknown tenants/endpoints 404; unsupported
 conditioning events 422; infeasible recourse 409; the rest of the
-mapping is :func:`error_response`.  Start a server with
+mapping is :func:`error_response`.  Protocol errors raised while the
+request is parsed (400, 414, 431, an unsupported method's 501, 505)
+answer in the same JSON envelope.  Start a server with
 ``python -m repro.cli serve`` or programmatically via
 :func:`create_server`; :func:`serve` installs SIGTERM/SIGINT handlers
 that stop accepting, drain in-flight requests, and close the store.
@@ -94,6 +96,7 @@ import signal
 import threading
 import time
 from contextlib import contextmanager
+from http import HTTPMethod
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Mapping
 from urllib.parse import parse_qs, urlsplit
@@ -133,13 +136,13 @@ _obs.get_registry().declare(
 _obs.get_registry().declare(
     "repro_http_request_seconds",
     "histogram",
-    "End-to-end HTTP request latency in seconds, by method.",
+    "End-to-end HTTP request latency in seconds, by method and route template.",
 )
 
 #: labelled-instrument cache: format the label suffix once per
-#: (method, status) / method, not once per request.
+#: (method, status) / (method, route), not once per request.
 _HTTP_COUNTERS: dict[tuple[str, int], Any] = {}
-_HTTP_HISTOGRAMS: dict[str, Any] = {}
+_HTTP_HISTOGRAMS: dict[tuple[str, str], Any] = {}
 
 
 def _http_counter(method: str, status: int):
@@ -153,13 +156,14 @@ def _http_counter(method: str, status: int):
     return counter
 
 
-def _http_histogram(method: str):
-    histogram = _HTTP_HISTOGRAMS.get(method)
+def _http_histogram(method: str, route: str):
+    histogram = _HTTP_HISTOGRAMS.get((method, route))
     if histogram is None:
         histogram = _obs.get_registry().histogram(
-            "repro_http_request_seconds", labels={"method": method}
+            "repro_http_request_seconds",
+            labels={"method": method, "route": route},
         )
-        _HTTP_HISTOGRAMS[method] = histogram
+        _HTTP_HISTOGRAMS[(method, route)] = histogram
     return histogram
 
 
@@ -435,13 +439,24 @@ class ExplainerHTTPServer(ThreadingHTTPServer):
 
 
 class ExplainerRequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests to a session or a registry tenant."""
+    """Routes HTTP requests to a session or a registry tenant.
+
+    Every answer — JSON, Prometheus text, blob bytes, and the stdlib's
+    own protocol errors, which :meth:`send_error` puts in the JSON
+    envelope — leaves through :meth:`_send` as one socket write, on a
+    socket with Nagle's algorithm off.  Two writes per answer (headers,
+    then body) would hold the body until the client's delayed ACK of
+    the headers, about 40 ms per keep-alive request.
+    """
 
     server_version = "repro-explainer/2.0"
     protocol_version = "HTTP/1.1"
     #: socket timeout: bounds how long a drained shutdown can wait on an
     #: idle keep-alive connection.
     timeout = 30
+    #: TCP_NODELAY on every accepted connection (a StreamRequestHandler
+    #: attribute): no write, ours or the stdlib's, waits on an ACK.
+    disable_nagle_algorithm = True
     #: silence per-request stderr logging unless the server opts in.
     verbose = False
 
@@ -455,39 +470,64 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
 
     # -- plumbing ----------------------------------------------------------
 
+    def handle_one_request(self) -> None:
+        # A keep-alive connection reuses this handler: each request
+        # starts with no id, clock or route, so a stdlib protocol error
+        # answered before _dispatch is never booked under the previous
+        # request's.
+        self._request_id = None
+        self._request_started = None
+        self._route = "unmatched"
+        super().handle_one_request()
+
+    def send_error(
+        self, code: int, message: str | None = None, explain: str | None = None
+    ) -> None:
+        """Answer a stdlib protocol error (400, 414, 431, 501, 505) as JSON.
+
+        These requests never reach :meth:`_dispatch`, so the request id
+        and clock start here; the answer closes the connection and is
+        counted like any other.
+        """
+        if self._request_id is None:
+            self._request_id = _tracing.new_id()
+            self._request_started = time.perf_counter()
+        if message is None:
+            message = self.responses.get(code, ("error",))[0]
+        if explain is not None:
+            message = f"{message}: {explain}"
+        self.log_error("code %d, message %s", code, message)
+        self._send(code, {"error": message, "request_id": self._request_id})
+
     def _observe_http(self, status: int) -> None:
         """Count the request and observe its latency (flag-gated)."""
         if not _obs.enabled():
             return
-        method = str(getattr(self, "command", None) or "?")
+        # bounded label: a 501 for an arbitrary verb must not mint a series
+        method = self.command if self.command in HTTPMethod.__members__ else "other"
         _http_counter(method, int(status)).inc()
-        started = getattr(self, "_request_started", None)
+        started = self._request_started
         if started is not None:
-            _http_histogram(method).observe(time.perf_counter() - started)
+            _http_histogram(method, self._route).observe(
+                time.perf_counter() - started
+            )
 
-    def _send_text(
+    def _send(
         self,
         status: int,
-        text: str,
-        content_type: str = "text/plain; charset=utf-8",
-    ) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        self._observe_http(status)
-
-    def _send_json(
-        self,
-        status: int,
-        payload: dict,
+        body: bytes | Mapping[str, Any],
+        content_type: str = "application/json",
         headers: Mapping[str, str] | None = None,
     ) -> None:
-        body = json.dumps(payload, default=str).encode("utf-8")
+        """Answer with ``body`` (bytes, or a mapping sent as JSON) in one write.
+
+        The status line, the headers and the body go to the socket in a
+        single ``sendall``.
+        """
+        if not isinstance(body, bytes):
+            body = json.dumps(body, default=str).encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
@@ -497,18 +537,13 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
             # HTTP/1.1 keep-alive those bytes would be parsed as the next
             # request line, so drop the connection instead.
             self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
-        self.wfile.write(body)
-        self._observe_http(status)
-
-    def _send_bytes(self, status: int, data: bytes) -> None:
-        """Binary response (replication blob transfer)."""
-        self.send_response(status)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        if self.request_version == "HTTP/0.9":
+            self._headers_buffer = []  # an HTTP/0.9 answer is the bare body
+        else:
+            self._headers_buffer.append(b"\r\n")
+        if self.command != "HEAD":
+            self._headers_buffer.append(body)
+        self.flush_headers()
         self._observe_http(status)
 
     def _read_body(self) -> Any:
@@ -545,7 +580,7 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
             "error": "server is draining; retry against a healthy replica",
             "request_id": self._request_id,
         }
-        self._send_json(503, body, headers={"Retry-After": "1"})
+        self._send(503, body, headers={"Retry-After": "1"})
         return True
 
     def _refuse_follower_write(self) -> bool:
@@ -558,7 +593,7 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
         manager = getattr(self.server, "replication", None)
         if manager is None or manager.is_leader:
             return False
-        self._send_json(
+        self._send(
             503,
             {
                 "error": (
@@ -676,6 +711,7 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
                     break
             else:
                 raise NotFound(f"unknown endpoint {self.path!r}")
+            self._route = route.template
             if method != "GET":
                 # read the body even when unused so keep-alive stays in sync
                 args.append(self._read_body())
@@ -686,10 +722,10 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
                 return
             result = route.handler(self, *args)
             if result is not None:
-                self._send_json(200, result)
+                self._send(200, result)
         except Exception as exc:  # noqa: BLE001 - mapped; internal defects -> 500
             status, message, headers = error_response(exc)
-            self._send_json(
+            self._send(
                 status,
                 {"error": message, "request_id": self._request_id},
                 headers=headers,
@@ -713,7 +749,7 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
             # read-your-writes: this replica has not yet applied the state
             # the client saw; let it retry here or pin to a replica that
             # has caught up
-            self._send_json(
+            self._send(
                 503,
                 {
                     "error": (
@@ -775,7 +811,7 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
         )
         response["queue_ms"] = round(queue_ms, 3)
         response["compute_ms"] = round(compute_ms, 3)
-        self._send_json(200, response)
+        self._send(200, response)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         self._dispatch("GET")
@@ -851,7 +887,7 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
         report = {"status": "ready" if ready else "unavailable", "checks": checks}
         if not ready:
             report["request_id"] = self._request_id
-        self._send_json(
+        self._send(
             200 if ready else 503,
             report,
             headers=None if ready else {"Retry-After": "1"},
@@ -859,10 +895,10 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
 
     def _metrics(self) -> None:
         # Prometheus text exposition; no session or tenant load required.
-        self._send_text(
+        self._send(
             200,
-            _obs.get_registry().to_prometheus(),
-            content_type="text/plain; version=0.0.4; charset=utf-8",
+            _obs.get_registry().to_prometheus().encode("utf-8"),
+            "text/plain; version=0.0.4; charset=utf-8",
         )
 
     def _traces(self) -> dict:
@@ -1034,7 +1070,7 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
     def _object(self, name: str, digest: str) -> None:
         with _store_errors_as_404():
             data = self._registry().store.get_bytes(digest)
-        self._send_bytes(200, data)
+        self._send(200, data, "application/octet-stream")
 
     def _log(self, tenant: str | None) -> dict:
         from repro.replication.ship import build_batch

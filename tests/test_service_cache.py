@@ -100,6 +100,16 @@ class TestResultCache:
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["bytes"] == payload_bytes({"ranking": ["a", "b"]})
 
+    def test_hit_is_a_fresh_decoded_copy(self):
+        # entries are held as their JSON encoding: a caller mutating a hit
+        # cannot change what the next hit returns
+        cache = ResultCache()
+        key = ResultCache.key("fp", 0, "explain_local", {"index": 3})
+        cache.put(key, {"contributions": [{"net": -0.25}], "n": 3})
+        first = cache.get(key)
+        first["contributions"][0]["net"] = 99.0
+        assert cache.get(key) == {"contributions": [{"net": -0.25}], "n": 3}
+
     def test_version_partitions_keys(self):
         cache = ResultCache()
         k0 = ResultCache.key("fp", 0, "g", {})
