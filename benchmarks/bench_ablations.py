@@ -1,6 +1,6 @@
 """Ablations of LEWIS's design choices (beyond the paper's figures).
 
-Four ablations quantify the components DESIGN.md calls out:
+Four ablations quantify the design choices below:
 
 * **Causal diagram** — scores with the true diagram vs. the
   no-confounding fallback vs. a PC-*discovered* diagram, measured as

@@ -1,7 +1,7 @@
 """Shared fixtures and reporting for the benchmark harness.
 
-Each ``bench_*.py`` module regenerates one table or figure of the paper
-(see DESIGN.md's per-experiment index). Heavy setup (dataset generation,
+Each ``bench_*.py`` module regenerates one table or figure of the paper,
+named in its module docstring. Heavy setup (dataset generation,
 model training) lives in session fixtures; the timed portion is the
 LEWIS operation the paper reports.
 

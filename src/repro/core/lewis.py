@@ -14,6 +14,7 @@ with:
 
 from __future__ import annotations
 
+import time
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -33,7 +34,18 @@ from repro.core.scores import ScoreEstimator, ScoreTriple
 from repro.data.table import Table
 from repro.estimation.adjustment import adjusted_probability
 from repro.models.pipeline import TableModel
+from repro.obs import metrics as _obs
+from repro.obs import tracing as _tracing
 from repro.utils.lru import ByteBudgetLRU
+
+_PREDICT_ROWS = _obs.get_registry().counter(
+    "repro_model_predict_rows_total",
+    "Rows the black box was queried on.",
+)
+_PREDICT_SECONDS = _obs.get_registry().histogram(
+    "repro_model_predict_seconds",
+    "Wall time of one black-box query.",
+)
 
 
 class Lewis:
@@ -178,7 +190,19 @@ class Lewis:
         return self._raw_predict_positive(self._to_model_space(table))
 
     def _raw_predict_positive(self, table: Table) -> np.ndarray:
-        """Positive-decision vector, assuming model-space codes."""
+        """Positive-decision vector, assuming model-space codes.
+
+        Every black-box query passes here, so this is where its rows and
+        time are counted and its ``model.predict`` span is recorded.
+        """
+        started = time.perf_counter()
+        with _tracing.span("model.predict", tags={"rows": len(table)}):
+            positive = self._query_model(table)
+        _PREDICT_SECONDS.observe(time.perf_counter() - started)
+        _PREDICT_ROWS.inc(len(table))
+        return positive
+
+    def _query_model(self, table: Table) -> np.ndarray:
         features = table.select(self.feature_names)
         if isinstance(self._model, TableModel):
             if self._model.is_classifier:

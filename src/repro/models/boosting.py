@@ -12,7 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models.base import BaseClassifier, BaseRegressor
-from repro.models.tree import DecisionTreeRegressor
+from repro.models.tree import (
+    DecisionTreeRegressor,
+    StackedTrees,
+    TreeArrays,
+    sum_in_order,
+)
 from repro.utils.rng import as_generator, spawn_generators
 
 
@@ -27,8 +32,15 @@ class _NewtonTree:
         self.tree = tree
         self.leaf_values = leaf_values
 
+    @property
+    def arrays(self) -> TreeArrays:
+        """The tree's node arrays, each leaf predicting its Newton step."""
+        nodes = self.tree.tree_
+        return nodes.with_output(self.leaf_values[nodes.leaf_id])
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.leaf_values[self.tree.apply(X)]
+        nodes = self.tree.tree_
+        return self.leaf_values[nodes.leaf_id[nodes.descend(X)[0]]]
 
 
 def _fit_newton_tree(
@@ -83,6 +95,7 @@ class GradientBoostingClassifier(BaseClassifier):
         self.seed = seed
         self.ensembles_: list[list[_NewtonTree]] | None = None
         self.base_scores_: np.ndarray | None = None
+        self._stacked = StackedTrees()
 
     def _fit(self, X: np.ndarray, y_idx: np.ndarray, n_classes: int) -> None:
         n = len(X)
@@ -125,10 +138,17 @@ class GradientBoostingClassifier(BaseClassifier):
             self.ensembles_.append(ensemble)
 
     def _raw_scores(self, X: np.ndarray) -> np.ndarray:
+        stacked = self._stacked.get(
+            self.ensembles_,
+            lambda ensembles: [tree.arrays for trees in ensembles for tree in trees],
+        )
+        steps = self.learning_rate * stacked.output[stacked.descend(X)]
         scores = np.tile(self.base_scores_, (len(X), 1))
+        first = 0
         for p, ensemble in enumerate(self.ensembles_):
-            for tree in ensemble:
-                scores[:, p] += self.learning_rate * tree.predict(X)
+            last = first + len(ensemble)
+            scores[:, p] = sum_in_order(scores[:, p], steps[first:last])
+            first = last
         return scores
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -165,6 +185,7 @@ class GradientBoostingRegressor(BaseRegressor):
         self.seed = seed
         self.trees_: list[_NewtonTree] | None = None
         self.base_score_: float = 0.0
+        self._stacked = StackedTrees()
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         n = len(X)
@@ -196,7 +217,8 @@ class GradientBoostingRegressor(BaseRegressor):
             self.trees_.append(tree)
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        pred = np.full(len(X), self.base_score_)
-        for tree in self.trees_:
-            pred += self.learning_rate * tree.predict(X)
-        return pred
+        stacked = self._stacked.get(
+            self.trees_, lambda trees: [tree.arrays for tree in trees]
+        )
+        steps = self.learning_rate * stacked.output[stacked.descend(X)]
+        return sum_in_order(np.full(len(X), self.base_score_), steps)

@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models.base import BaseClassifier, BaseRegressor
-from repro.models.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.models.tree import (
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    StackedTrees,
+    TreeArrays,
+    sum_in_order,
+)
 from repro.utils.rng import as_generator, spawn_generators
 
 
@@ -20,6 +26,10 @@ def _resolve_max_features(spec, n_features: int) -> int | None:
     if isinstance(spec, float):
         return max(1, int(spec * n_features))
     return int(spec)
+
+
+def _tree_arrays(trees: list) -> list[TreeArrays]:
+    return [tree.tree_ for tree in trees]
 
 
 class RandomForestClassifier(BaseClassifier):
@@ -47,6 +57,7 @@ class RandomForestClassifier(BaseClassifier):
         self.seed = seed
         self.trees_: list[DecisionTreeClassifier] | None = None
         self.feature_importances_: np.ndarray | None = None
+        self._stacked = StackedTrees()
 
     def _fit(self, X: np.ndarray, y_idx: np.ndarray, n_classes: int) -> None:
         n, d = X.shape
@@ -77,9 +88,9 @@ class RandomForestClassifier(BaseClassifier):
         self.feature_importances_ = importances / total if total > 0 else importances
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
-        proba = np.zeros((len(X), len(self.classes_)))
-        for tree in self.trees_:
-            proba += tree._predict_proba(X)
+        stacked = self._stacked.get(self.trees_, _tree_arrays)
+        start = np.zeros((len(X), len(self.classes_)))
+        proba = sum_in_order(start, stacked.output[stacked.descend(X)])
         return proba / len(self.trees_)
 
 
@@ -106,6 +117,7 @@ class RandomForestRegressor(BaseRegressor):
         self.seed = seed
         self.trees_: list[DecisionTreeRegressor] | None = None
         self.feature_importances_: np.ndarray | None = None
+        self._stacked = StackedTrees()
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         n, d = X.shape
@@ -130,7 +142,6 @@ class RandomForestRegressor(BaseRegressor):
         self.feature_importances_ = importances / total if total > 0 else importances
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        pred = np.zeros(len(X))
-        for tree in self.trees_:
-            pred += tree._predict(X)
+        stacked = self._stacked.get(self.trees_, _tree_arrays)
+        pred = sum_in_order(np.zeros(len(X)), stacked.output[stacked.descend(X)])
         return pred / len(self.trees_)

@@ -9,6 +9,9 @@ is unsafe for untrusted files — so every model in
 
 Numpy arrays are stored as nested lists (the models here are small:
 dozens of trees, a few weight matrices), trees as nested node dicts.
+A fitted tree holds flat node arrays; they are converted to and from
+the nested dicts here and nowhere else, so the document format stays
+independent of the in-memory layout.
 The document carries a ``kind`` tag resolved through an explicit
 registry, so loading never executes arbitrary classes.
 """
@@ -30,7 +33,12 @@ from repro.models.forest import RandomForestClassifier, RandomForestRegressor
 from repro.models.linear import LinearRegression, LogisticRegression
 from repro.models.neural import NeuralNetworkClassifier
 from repro.models.pipeline import TableModel
-from repro.models.tree import DecisionTreeClassifier, DecisionTreeRegressor, _Node
+from repro.models.tree import (
+    NODE_FIELDS,
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    TreeArrays,
+)
 from repro.data.encoding import OneHotEncoder
 
 
@@ -38,44 +46,43 @@ from repro.data.encoding import OneHotEncoder
 # node-level helpers
 
 
-def _node_to_dict(node: _Node) -> dict:
-    out: dict[str, Any] = {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "n_samples": node.n_samples,
-        "impurity": node.impurity,
-        "leaf_id": node.leaf_id,
-    }
-    if isinstance(node.value, np.ndarray):
-        out["value"] = node.value.tolist()
-        out["value_kind"] = "array"
-    else:
-        out["value"] = node.value
-        out["value_kind"] = "scalar"
-    if node.left is not None:
-        out["left"] = _node_to_dict(node.left)
-        out["right"] = _node_to_dict(node.right)
-    return out
+def _tree_to_nodes(tree: TreeArrays) -> dict:
+    """The nested node dicts of one tree, from its flat arrays."""
+    # Python scalars: json cannot encode numpy integers.
+    columns = {name: getattr(tree, name).tolist() for name in NODE_FIELDS}
+    value_kind = "array" if tree.value.ndim == 2 else "scalar"
+
+    def node(i: int) -> dict:
+        out: dict[str, Any] = {
+            name: columns[name][i]
+            for name in ("feature", "threshold", "n_samples", "impurity", "leaf_id")
+        }
+        out["value"] = columns["value"][i]
+        out["value_kind"] = value_kind
+        if columns["left"][i] != i:
+            out["left"] = node(columns["left"][i])
+            out["right"] = node(columns["right"][i])
+        return out
+
+    return node(0)
 
 
-def _node_from_dict(data: dict) -> _Node:
-    value = (
-        np.asarray(data["value"], dtype=float)
-        if data["value_kind"] == "array"
-        else data["value"]
-    )
-    node = _Node(
-        feature=data["feature"],
-        threshold=data["threshold"],
-        value=value,
-        n_samples=data["n_samples"],
-        impurity=data["impurity"],
-        leaf_id=data["leaf_id"],
-    )
-    if "left" in data:
-        node.left = _node_from_dict(data["left"])
-        node.right = _node_from_dict(data["right"])
-    return node
+def _tree_from_nodes(root: dict) -> TreeArrays:
+    """Flat arrays of one tree, from its nested node dicts (pre-order)."""
+    columns: dict[str, list] = {name: [] for name in NODE_FIELDS}
+
+    def visit(data: dict) -> int:
+        index = len(columns["feature"])
+        for name in NODE_FIELDS:
+            # a leaf points to itself; a split's children are set below
+            columns[name].append(index if name in ("left", "right") else data[name])
+        if "left" in data:
+            columns["left"][index] = visit(data["left"])
+            columns["right"][index] = visit(data["right"])
+        return index
+
+    visit(root)
+    return TreeArrays(**columns)
 
 
 def _array(value) -> list | None:
@@ -89,7 +96,7 @@ def _array(value) -> list | None:
 def _tree_clf_to_dict(model: DecisionTreeClassifier) -> dict:
     return {
         "classes": model.classes_.tolist(),
-        "root": _node_to_dict(model.root_),
+        "root": _tree_to_nodes(model.tree_),
         "feature_importances": _array(model.feature_importances_),
     }
 
@@ -97,14 +104,14 @@ def _tree_clf_to_dict(model: DecisionTreeClassifier) -> dict:
 def _tree_clf_from_dict(data: dict) -> DecisionTreeClassifier:
     model = DecisionTreeClassifier()
     model.classes_ = np.asarray(data["classes"])
-    model.root_ = _node_from_dict(data["root"])
+    model.tree_ = _tree_from_nodes(data["root"])
     model.feature_importances_ = np.asarray(data["feature_importances"])
     return model
 
 
 def _tree_reg_to_dict(model: DecisionTreeRegressor) -> dict:
     return {
-        "root": _node_to_dict(model.root_),
+        "root": _tree_to_nodes(model.tree_),
         "n_leaves": model.n_leaves_,
         "feature_importances": _array(model.feature_importances_),
     }
@@ -112,7 +119,7 @@ def _tree_reg_to_dict(model: DecisionTreeRegressor) -> dict:
 
 def _tree_reg_from_dict(data: dict) -> DecisionTreeRegressor:
     model = DecisionTreeRegressor()
-    model.root_ = _node_from_dict(data["root"])
+    model.tree_ = _tree_from_nodes(data["root"])
     model.n_leaves_ = data["n_leaves"]
     model.feature_importances_ = np.asarray(data["feature_importances"])
     model.is_fitted_ = True

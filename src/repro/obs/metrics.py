@@ -624,6 +624,7 @@ def preregister() -> None:
     values) from the first scrape, not only after each subsystem has
     seen traffic; the server calls this once at startup.
     """
+    import repro.core.lewis  # noqa: F401
     import repro.estimation.engine  # noqa: F401
     import repro.core.recourse  # noqa: F401
     import repro.faults  # noqa: F401

@@ -1,9 +1,9 @@
 """Deep checks of the dataset SCMs' causal structure.
 
-The substitution argument in DESIGN.md rests on the replicas encoding
-the qualitative causal structure the paper's analysis uses; these tests
-pin that structure down so future edits to the generators cannot
-silently break an experiment's premise.
+Substituting synthetic replicas for the paper's datasets rests on the
+replicas encoding the qualitative causal structure the paper's analysis
+uses; these tests pin that structure down so future edits to the
+generators cannot silently break an experiment's premise.
 """
 
 import numpy as np

@@ -1,10 +1,14 @@
 """Unit tests for random forests and gradient boosting."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.models.boosting import GradientBoostingClassifier, GradientBoostingRegressor
 from repro.models.forest import RandomForestClassifier, RandomForestRegressor
+from repro.models.serialize import model_from_dict, model_to_dict
 
 
 class TestRandomForestClassifier:
@@ -142,3 +146,46 @@ class TestGradientBoosting:
         ).fit(X, y)
         proba = gbm.predict_proba(X)[:, 1]
         assert np.allclose(proba, y.mean(), atol=1e-6)
+
+
+class TestStackedTrees:
+    def test_refit_restacks(self, linear_data):
+        X, y, _ = linear_data
+        forest = RandomForestClassifier(n_estimators=3, max_depth=2, seed=0)
+        shallow = forest.fit(X, y).predict_proba(X)
+        forest.max_depth = 6
+        deep = forest.fit(X, y).predict_proba(X)
+        assert not np.array_equal(shallow, deep)
+        fresh = RandomForestClassifier(n_estimators=3, max_depth=6, seed=0).fit(X, y)
+        assert np.array_equal(deep, fresh.predict_proba(X))
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: RandomForestClassifier(n_estimators=8, max_depth=5, seed=0),
+            lambda: GradientBoostingClassifier(n_estimators=8, max_depth=3, seed=0),
+        ],
+        ids=["forest", "boosting"],
+    )
+    def test_concurrent_first_predicts_agree(self, linear_data, factory):
+        X, y, _ = linear_data
+        model = factory().fit(X, y)
+        expected = model.predict_proba(X)
+        loaded = model_from_dict(model_to_dict(model))  # not stacked yet
+        results: list = []
+        threads = [
+            threading.Thread(target=lambda: results.append(loaded.predict_proba(X)))
+            for _ in range(8)
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == len(threads)
+        assert all(np.array_equal(r, expected) for r in results)

@@ -33,21 +33,24 @@ class TestDecisionTreeClassifier:
         deep = DecisionTreeClassifier(max_depth=None).fit(X, y)
         assert deep.score(X, y) >= stump.score(X, y)
         # A depth-1 tree has exactly one split (2 leaves).
-        assert stump.root_.feature >= 0
-        assert stump.root_.left.feature == -1
-        assert stump.root_.right.feature == -1
+        nodes = stump.tree_
+        assert nodes.feature[0] >= 0
+        assert nodes.feature[nodes.left[0]] == -1
+        assert nodes.feature[nodes.right[0]] == -1
+        assert nodes.depth == 1
 
     def test_min_samples_leaf_enforced(self):
         X = np.arange(10, dtype=float).reshape(-1, 1)
         y = np.array([0] * 9 + [1])
         tree = DecisionTreeClassifier(min_samples_leaf=3).fit(X, y)
-
-        def leaf_sizes(node):
-            if node.feature < 0:
-                return [node.n_samples]
-            return leaf_sizes(node.left) + leaf_sizes(node.right)
-
-        assert all(s >= 3 for s in leaf_sizes(tree.root_))
+        nodes = tree.tree_
+        leaves = nodes.feature < 0
+        assert leaves.sum() >= 2
+        assert (nodes.n_samples[leaves] >= 3).all()
+        # a leaf points to itself, a split to two other nodes
+        index = np.arange(len(nodes.feature))
+        assert np.array_equal(nodes.left == index, leaves)
+        assert np.array_equal(nodes.right == index, leaves)
 
     def test_pure_node_stops_splitting(self):
         X = np.array([[0.0], [1.0], [2.0]])
@@ -104,6 +107,17 @@ class TestDecisionTreeClassifier:
             block = proba[leaves == leaf]
             assert np.allclose(block, block[0])
 
+    def test_apply_reshapes_a_single_row(self):
+        X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
+        tree = DecisionTreeClassifier().fit(X, np.array([0, 0, 0, 1, 1, 1]))
+        # one 1-D row, as predict accepts it
+        assert tree.apply(np.array([2.5])).tolist() == tree.apply([[2.5]]).tolist()
+        assert tree.apply(np.array([2.5])).shape == (1,)
+
+    def test_unfitted_apply_raises(self):
+        with pytest.raises(NotFittedError):
+            DecisionTreeClassifier().apply(np.zeros((1, 2)))
+
 
 class TestDecisionTreeRegressor:
     def test_fits_step_function(self):
@@ -150,3 +164,12 @@ class TestDecisionTreeRegressor:
         y = X[:, 0] * 2.0
         tree = DecisionTreeRegressor(max_depth=6).fit(X, y)
         assert 0.9 < tree.score(X, y) <= 1.0
+
+    def test_unfitted_apply_raises(self):
+        with pytest.raises(NotFittedError):
+            DecisionTreeRegressor().apply(np.zeros((1, 2)))
+
+    def test_apply_reshapes_a_single_row(self):
+        X = np.arange(20, dtype=float).reshape(-1, 1)
+        tree = DecisionTreeRegressor(max_depth=2).fit(X, X[:, 0])
+        assert tree.apply(np.array([7.0])).tolist() == tree.apply([[7.0]]).tolist()

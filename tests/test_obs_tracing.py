@@ -154,6 +154,37 @@ class TestBatcherPropagation:
 
 
 # ---------------------------------------------------------------------------
+# the black-box query
+
+
+class TestModelPredictInstrumentation:
+    def test_span_rows_and_seconds_per_query(self):
+        from repro.core import lewis as lewis_module
+
+        session = _tiny_session()
+        session.close()
+        lewis = session.lewis
+        rows = lewis_module._PREDICT_ROWS
+        seconds = lewis_module._PREDICT_SECONDS
+        rows_before, calls_before = rows.value, seconds.count
+        with tracing.trace("request") as tid:
+            lewis.predict_positive(lewis.data)
+        assert rows.value - rows_before == lewis.data.n_rows
+        assert seconds.count - calls_before == 1
+        spans = tracing.get_tracer().get(tid)["spans"]
+        predict = [s for s in spans if s["name"] == "model.predict"]
+        assert [s["tags"] for s in predict] == [{"rows": lewis.data.n_rows}]
+
+    def test_families_are_preregistered(self):
+        from repro.obs import metrics as obs
+
+        obs.preregister()
+        text = obs.get_registry().to_prometheus()
+        assert "# TYPE repro_model_predict_rows_total counter" in text
+        assert "# TYPE repro_model_predict_seconds histogram" in text
+
+
+# ---------------------------------------------------------------------------
 # propagation through the recourse process pool (process boundary)
 
 
